@@ -287,6 +287,8 @@ def cmd_sweep(cfg) -> int:
     s = _single_s(cfg)
     if cfg["alpha_range"] is not None:
         lo, hi, count = cfg["alpha_range"]
+        if not count.is_integer():
+            raise ParameterError(f"alpha range count must be a whole number, got {count}")
         count = int(count)
         if count < 1:
             raise RequestError("alpha range needs a positive count")

@@ -22,9 +22,9 @@ cubic B-spline), the entry for node offset d reduces to
 The integrand is piecewise cubic with integer breakpoints, vanishes to
 second order at t = 0, and is constant 2*rho(d) past t = d+2, so the
 integral splits into one exact power-law piece at the singularity, a few
-Gauss-Legendre pieces on unit intervals, and an exact tail.  Entries are
-computed once per offset, which makes the matrix Toeplitz by construction
-and bit-reproducible.
+Gauss-Legendre pieces on unit intervals, and an exact tail.  All offsets
+are integrated in one vectorised pass; that first column alone fixes the
+matrix, which is Toeplitz by construction and bit-reproducible.
 
 All returned objects are immutable after construction and safe to share
 across threads.
@@ -205,9 +205,9 @@ def hat_autocorrelation(x):
     return out
 
 
-# Cubic coefficients (c2, c3) of 2*rho(d) - rho(d+t) - rho(d-t) on t in [0, 1].
+# Cubic coefficients (c2, c3) of 2*rho(d) - rho(d+t) - rho(d-t) on t in [0, 1], d <= 2.
 # The constant and linear terms vanish because rho is C^2 and even about d.
-_NEAR_ZERO_COEFFS = {0: (2.0, -1.0), 1: (-1.0, 2.0 / 3.0), 2: (0.0, -1.0 / 6.0)}
+_NEAR_ZERO_COEFFS = np.array([[2.0, -1.0], [-1.0, 2.0 / 3.0], [0.0, -1.0 / 6.0]])
 
 
 def _offset_integrals(n_offsets: int, s: float, quad_order: int) -> np.ndarray:
@@ -220,23 +220,20 @@ def _offset_integrals(n_offsets: int, s: float, quad_order: int) -> np.ndarray:
     nodes01 = 0.5 * (nodes + 1.0)
     weights01 = 0.5 * weights
 
-    out = np.zeros(n_offsets)
-    for d in range(n_offsets):
-        rho_d = 2.0 / 3.0 if d == 0 else (1.0 / 6.0 if d == 1 else 0.0)
-        total = 0.0
-        # piece [0, 1]: integrand is c2*t^(1-2s) + c3*t^(2-2s), exact integral
-        c2, c3 = _NEAR_ZERO_COEFFS.get(d, (0.0, 0.0))
-        total += c2 / (2.0 - 2.0 * s) + c3 / (3.0 - 2.0 * s)
-        # pieces [k, k+1] for k >= 1: single cubic times analytic kernel
-        for k in range(max(1, d - 2), d + 2):
-            t = k + nodes01
-            g = 2.0 * rho_d - hat_autocorrelation(d + t) - hat_autocorrelation(d - t)
-            total += np.dot(weights01, g * t ** (-1.0 - 2.0 * s))
-        # beyond t = d+2 the bracket is the constant 2*rho(d)
-        if rho_d != 0.0:
-            total += 2.0 * rho_d * (d + 2.0) ** (-2.0 * s) / (2.0 * s)
-        out[d] = 2.0 * total
-    return out
+    # axes: (offset d, unit piece k = d-2 .. d+1, Gauss node)
+    d = np.arange(n_offsets, dtype=float)[:, None, None]
+    rho_d = np.where(d == 0, 2.0 / 3.0, np.where(d == 1, 1.0 / 6.0, 0.0))
+    # pieces [k, k+1] for k >= 1: single cubic times analytic kernel
+    k = d + np.arange(-2.0, 2.0)[:, None]
+    t = np.maximum(k, 1.0) + nodes01
+    g = 2.0 * rho_d - hat_autocorrelation(d + t) - hat_autocorrelation(d - t)
+    total = np.where(k >= 1.0, g * t ** (-1.0 - 2.0 * s), 0.0).sum(axis=1) @ weights01
+    # piece [0, 1]: integrand is c2*t^(1-2s) + c3*t^(2-2s), exact integral
+    near = min(n_offsets, 3)
+    total[:near] += _NEAR_ZERO_COEFFS[:near] @ [1.0 / (2.0 - 2.0 * s), 1.0 / (3.0 - 2.0 * s)]
+    # beyond t = d+2 the bracket is the constant 2*rho(d)
+    total += (2.0 * rho_d * (d + 2.0) ** (-2.0 * s) / (2.0 * s)).ravel()
+    return 2.0 * total
 
 
 def assemble_fractional_stiffness(

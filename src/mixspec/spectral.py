@@ -1,22 +1,24 @@
 """Spectrum of the mixed pencil (A_loc + alpha*A_frac, M) for any real alpha.
 
-For alpha >= 0 the bilinear form is coercive and the generalized
-eigenproblem is classical.  For negative alpha coercivity can fail; it is
-restored by the minimal shift gamma >= 0 making
+M is symmetric positive definite, so (A_alpha, M) is a symmetric-definite
+pencil for every real alpha and LAPACK solves it directly.  The paper's
+proof device, the minimal shift gamma >= 0 making
 
     A_alpha + gamma M - (1/2) A_loc  positive semidefinite,
 
 the discrete sharp version of the coercivity estimate
-B(u, u) + gamma ||u||^2 >= (1/2) ||u||_H^2.  The spectrum is then read off
-the resolvent of the shifted operator: with A_gamma = A_alpha + gamma M
-factored as L L^T, the symmetric matrix L^{-1} M L^{-T} has eigenvalues
-mu_k > 0, and lambda_k = 1/mu_k - gamma, with eigenvectors mapped back and
-normalized in the M inner product.
+B(u, u) + gamma ||u||^2 >= (1/2) ||u||_H^2, is still computed by its own
+eigensolve for every alpha (no alpha >= 0 short-circuit, so its exact zero
+there stays a check) and reported with each spectrum.  The resolvent
+identity lambda_k = 1/mu_k - gamma, with mu_k the eigenvalues of
+(A_alpha + gamma M)^{-1} M, is a check in the tests and the verify suite,
+not the solver.
 
 The coupling threshold where lambda_1 changes sign is exactly
 alpha* = -1/C_h, with C_h the largest eigenvalue of (A_frac, A_loc): the
 discrete embedding constant.  ``locate_threshold`` recovers it by bisection
-as an end-to-end consistency check.
+on Sylvester inertia (lambda_1 > 0 iff A_alpha has a Cholesky factor) as
+an end-to-end consistency check.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import RequestError
+from .errors import ParameterError, RequestError
 from .fem import (
     Mesh1D,
     OperatorMatrix,
@@ -75,7 +77,7 @@ class MixedPencil:
 
     def with_alpha(self, alpha: float) -> "MixedPencil":
         """Same mesh and assembled forms, different coupling."""
-        alpha = float(alpha)
+        alpha = _finite_alpha(alpha)
         return MixedPencil(
             mesh=self.mesh,
             s=self.s,
@@ -87,12 +89,19 @@ class MixedPencil:
         )
 
 
+def _finite_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ParameterError(f"coupling alpha must be finite, got {alpha}")
+    return alpha
+
+
 def assemble_pencil(mesh: Mesh1D, s: float, alpha: float) -> MixedPencil:
     """Assemble mass, local and fractional forms and cache A_loc + alpha*A_frac."""
+    alpha = _finite_alpha(alpha)
     a_loc = assemble_local_stiffness(mesh)
     a_frac = assemble_fractional_stiffness(mesh, s)
     mass = assemble_mass(mesh)
-    alpha = float(alpha)
     return MixedPencil(
         mesh=mesh,
         s=float(s),
@@ -157,12 +166,12 @@ class SpectrumResult:
 
 
 def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
-    """First k eigenpairs of A_alpha u = lambda M u through the shifted resolvent.
+    """First k eigenpairs of the definite pencil A_alpha u = lambda M u.
 
-    gamma = gamma_shift(pencil) makes A_gamma = A_alpha + gamma M positive
-    definite; its Cholesky factor L turns the pencil into the symmetric
-    resolvent-like matrix S = L^{-1} M L^{-T} whose eigenvalues mu give
-    lambda = 1/mu - gamma.  Eigenvectors are returned M-orthonormal with the
+    Solved directly by LAPACK's symmetric-definite solver for the k smallest
+    eigenvalues, whatever the sign of alpha.  gamma = gamma_shift(pencil) is
+    computed alongside and reported; the eigenvalues satisfy
+    lambda_1 > -gamma.  Eigenvectors are returned M-orthonormal with the
     sign fixed so the entry of largest magnitude is positive.
     """
     n = pencil.n
@@ -170,26 +179,7 @@ def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
         raise RequestError(f"requested {k} eigenpairs from an n={n} pencil")
     gamma = gamma_shift(pencil)
     mass = pencil.mass.data
-    chol = None
-    for attempt_gamma in (gamma, gamma * (1.0 + 1e-8) + 1e-14 * _scale(pencil)):
-        try:
-            chol = scipy.linalg.cholesky(pencil.a_alpha + attempt_gamma * mass, lower=True)
-            gamma = attempt_gamma
-            break
-        except scipy.linalg.LinAlgError:
-            continue
-    if chol is None:
-        raise scipy.linalg.LinAlgError("shifted operator could not be factored")
-
-    half = scipy.linalg.solve_triangular(chol, mass, lower=True)
-    resolvent = scipy.linalg.solve_triangular(chol, half.T, lower=True)
-    mu, w = scipy.linalg.eigh(0.5 * (resolvent + resolvent.T))
-    # mu ascending > 0; lambda = 1/mu - gamma is ascending for mu reversed
-    mu = mu[::-1][:k]
-    w = w[:, ::-1][:, :k]
-    lambdas = 1.0 / mu - gamma
-    vectors = scipy.linalg.solve_triangular(chol, w, lower=True, trans="T")
-    vectors /= np.sqrt(mu)[None, :]
+    lambdas, vectors = scipy.linalg.eigh(pencil.a_alpha, mass, subset_by_index=[0, k - 1])
     # sign convention: entry of largest magnitude positive
     lead = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[lead, np.arange(k)])
@@ -207,10 +197,6 @@ def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
         lambdas=lambdas, vectors=vectors, gamma=gamma, residuals=residuals,
         cluster_ids=cluster_ids,
     )
-
-
-def _scale(pencil: MixedPencil) -> float:
-    return float(np.max(np.abs(pencil.a_alpha)))
 
 
 def verify_variational_characterization(
@@ -292,25 +278,28 @@ def sweep_alpha(mesh: Mesh1D, s: float, alphas, k: int) -> SweepTable:
     )
 
 
-def _lambda_1(pencil: MixedPencil) -> float:
-    gamma = gamma_shift(pencil)
-    nu = scipy.linalg.eigh(
-        pencil.a_alpha + gamma * pencil.mass.data, pencil.mass.data,
-        subset_by_index=[0, 0],
-    )[0][0]
-    return float(nu) - gamma
+def _lambda_1_positive(pencil: MixedPencil) -> bool:
+    """Sylvester inertia: lambda_1 > 0 iff A_alpha is positive definite."""
+    try:
+        scipy.linalg.cholesky(pencil.a_alpha, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return False
+    return True
 
 
 def locate_threshold(mesh: Mesh1D, s: float, *, rel_tol: float = 1e-9) -> dict:
-    """Bisect the sign change of lambda_1(alpha); it must land on -1/C_h."""
+    """Bisect the sign change of lambda_1(alpha); it must land on -1/C_h.
+
+    Each step tests the sign by one Cholesky attempt of A_alpha (inertia).
+    """
     base = assemble_pencil(mesh, s, 0.0)
     c_h = embedding_constant(base)
     lo, hi = -2.0 / c_h, 0.0
-    if not _lambda_1(base.with_alpha(lo)) < 0.0 < _lambda_1(base.with_alpha(hi)):
+    if _lambda_1_positive(base.with_alpha(lo)) or not _lambda_1_positive(base.with_alpha(hi)):
         raise RequestError("bisection bracket does not straddle the sign change")
     while hi - lo > rel_tol / c_h:
         mid = 0.5 * (lo + hi)
-        if _lambda_1(base.with_alpha(mid)) > 0.0:
+        if _lambda_1_positive(base.with_alpha(mid)):
             hi = mid
         else:
             lo = mid

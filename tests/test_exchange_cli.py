@@ -145,6 +145,14 @@ class TestCliSpectrum:
     def test_missing_alpha(self, tmp_path):
         assert main(["spectrum", "--n", "7", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha(self, tmp_path, capsys, alpha):
+        code = main(["spectrum", "--n", "7", "--s", "0.5", f"--alpha={alpha}",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_json_format(self, tmp_path):
         code = main(["spectrum", "--n", "15", "--s", "0.5", "--alpha", "0", "--k", "2",
                      "--format", "json", "--out", str(tmp_path)])
@@ -181,6 +189,14 @@ class TestCliSweep:
         assert code == 0
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[0].startswith("alpha,gamma,lambda_1")
+
+    @pytest.mark.parametrize("count", ["2.7", "nan", "inf"])
+    def test_fractional_count(self, tmp_path, capsys, count):
+        code = main(["sweep", "--n", "15", "--s", "0.5", "--alpha-range",
+                     "-1", "1", count, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_empty_grid(self, tmp_path):
         assert main(["sweep", "--n", "15", "--s", "0.5", "--alpha-range",

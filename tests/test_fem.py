@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn
 
 from mixspec import (
     AccuracyError,
@@ -21,6 +22,7 @@ from mixspec import (
     gagliardo_seminorm,
     lp_norm,
 )
+from mixspec.fem import _offset_integrals
 from mixspec.reference import fractional_matrix_quadrature, gagliardo_form_quadrature
 
 
@@ -129,6 +131,18 @@ class TestFractionalStiffness:
             mat = assemble_fractional_stiffness(build_mesh(0.0, 1.0, n), s).data
             min_eig = np.linalg.eigvalsh(mat)[0]
             assert min_eig >= -1e-10 * np.max(np.abs(mat))
+
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("quad_order", [32, 48])
+    def test_closed_form_symbol(self, s, quad_order):
+        # I_d = -2 Gamma(-2s)/Gamma(4-2s) * delta^4 |d|^(3-2s), delta^4 the fourth
+        # central difference; kept to small d and s away from 1/2, where the
+        # formula cancels or needs its log limit.
+        d = np.arange(17, dtype=float)
+        power = lambda x: np.abs(x) ** (3.0 - 2.0 * s)
+        delta4 = power(d - 2) - 4 * power(d - 1) + 6 * power(d) - 4 * power(d + 1) + power(d + 2)
+        closed = -2.0 * gamma_fn(-2.0 * s) / gamma_fn(4.0 - 2.0 * s) * delta4
+        np.testing.assert_allclose(_offset_integrals(17, s, quad_order), closed, rtol=1e-9)
 
     def test_parameter_domain(self):
         mesh = build_mesh(0.0, 1.0, 3)

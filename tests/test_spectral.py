@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixspec import (
+    ParameterError,
     RequestError,
     assemble_fractional_stiffness,
     assemble_local_stiffness,
@@ -21,6 +24,7 @@ from mixspec import (
     verify_brezis_inequality,
     verify_variational_characterization,
 )
+from mixspec.spectral import _lambda_1_positive
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +49,15 @@ class TestPencilAssembly:
         pencil = assemble_pencil(mesh, 0.5, 2.0)
         again = assemble_local_stiffness(mesh).data + 2.0 * assemble_fractional_stiffness(mesh, 0.5).data
         np.testing.assert_array_equal(pencil.a_alpha, again)
+
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha(self, alpha):
+        mesh = build_mesh(0.0, 1.0, 4)
+        with pytest.raises(ParameterError):
+            assemble_pencil(mesh, 0.5, alpha)
+        with pytest.raises(ParameterError):
+            assemble_pencil(mesh, 0.5, 0.0).with_alpha(alpha)
 
 
 class TestEmbeddingConstant:
@@ -162,6 +175,14 @@ class TestContinuumBaseline:
             exact = (k * math.pi) ** 2
             assert abs(res.lambdas[k - 1] - exact) <= tol * exact
 
+    def test_discrete_p1_eigenvalues(self):
+        n = 255
+        h = 1.0 / (n + 1)
+        res = solve_spectrum(assemble_pencil(build_mesh(0.0, 1.0, n), 0.5, 0.0), 5)
+        c = np.cos(np.arange(1, 6) * math.pi * h)
+        exact = 6.0 * (1.0 - c) / (h**2 * (2.0 + c))
+        np.testing.assert_allclose(res.lambdas, exact, rtol=1e-10)
+
     def test_resolvent_consistency(self):
         mesh = build_mesh(0.0, 1.0, 32)
         base = assemble_pencil(mesh, 0.5, 0.0)
@@ -233,6 +254,29 @@ class TestSweepAndThreshold:
     def test_threshold_identity(self, base63):
         th = locate_threshold(base63.mesh, 0.5)
         assert abs(th["difference"]) <= 1e-8 / th["embedding_constant"]
+
+
+@pytest.fixture(scope="module")
+def inertia_bases():
+    bases = {}
+    for n in (31, 63):
+        base = assemble_pencil(build_mesh(0.0, 1.0, n), 0.5, 0.0)
+        bases[n] = (base, embedding_constant(base))
+    return bases
+
+
+class TestCholeskyInertia:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([31, 63]),
+        ratio=st.floats(min_value=-50.0, max_value=50.0).filter(lambda r: abs(r - 1.0) >= 1e-6),
+    )
+    def test_predicate_matches_lambda_1_sign(self, inertia_bases, n, ratio):
+        # alpha = -ratio / C_h stays at least 1e-6 relative away from -1/C_h
+        base, c_h = inertia_bases[n]
+        pencil = base.with_alpha(-ratio / c_h)
+        lam1 = solve_spectrum(pencil, 1).lambdas[0]
+        assert _lambda_1_positive(pencil) == (lam1 > 0.0)
 
 
 class TestBrezisInequality:
