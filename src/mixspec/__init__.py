@@ -20,7 +20,6 @@ from .errors import (
     ParameterError,
     RequestError,
     SizeError,
-    TruncationError,
     UndefinedRatioError,
 )
 from .fem import (

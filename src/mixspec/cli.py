@@ -155,6 +155,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         if flag_val is not None:
             cfg[key] = tuple(flag_val) if isinstance(flag_val, list) else flag_val
     cfg["command"] = args.command
+    for key, count in (("domain", 2), ("alpha_range", 3)):
+        if cfg[key] is not None and len(cfg[key]) != count:
+            raise ParameterError(f"{key} takes {count} numbers, got {cfg[key]}")
     if cfg["domain"][0] >= cfg["domain"][1]:
         raise ParameterError(f"domain must satisfy a < b, got {cfg['domain']}")
     if cfg["format"] not in ("csv", "json"):
@@ -168,7 +171,13 @@ def _parse_float_list(text: str, name: str) -> list[float]:
         token = token.strip()
         if not token:
             continue
-        out.append(math.inf if token in ("inf", "Inf", "INF") else float(token))
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParameterError(f"{name}: {token!r} is not a number") from None
+        if math.isnan(value):
+            raise ParameterError(f"{name}: NaN is not an admissible value")
+        out.append(value)
     if not out:
         raise ParameterError(f"no values given for {name}")
     return out

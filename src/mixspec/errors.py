@@ -58,7 +58,3 @@ class AccuracyError(MixSpecError, RuntimeError):
     def __init__(self, msg, achieved=None):
         super().__init__(msg)
         self.achieved = achieved
-
-
-class TruncationError(AccuracyError):
-    """Raised when an integral tail cannot be bounded below its budget."""

@@ -25,7 +25,6 @@ __all__ = [
     "MatrixFile",
     "fmt",
     "write_matrix",
-    "write_gram",
     "read_matrix",
     "write_vector",
     "read_vector",
@@ -66,11 +65,6 @@ def write_matrix(path, matrix: OperatorMatrix) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_gram(path, data) -> None:
-    data = np.asarray(data, dtype=float)
-    Path(path).write_text("\n".join(_matrix_lines(data, "Gram", None)) + "\n")
-
-
 def _parse_matrix_block(lines: list[str], start: int, path) -> tuple[MatrixFile, int]:
     if start >= len(lines):
         raise FormatError(f"{path}: missing matrix block")
@@ -83,7 +77,9 @@ def _parse_matrix_block(lines: list[str], start: int, path) -> tuple[MatrixFile,
         s = None if header[4] == "NA" else float(header[4])
     except ValueError as exc:
         raise FormatError(f"{path}: bad matrix header {lines[start]!r}") from exc
-    if start + rows >= len(lines) and rows > 0:
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{path}: matrix block must be at least 1 x 1, got {rows} x {cols}")
+    if start + rows >= len(lines):
         raise FormatError(f"{path}: truncated matrix block")
     data = np.empty((rows, cols))
     for i in range(rows):
@@ -94,6 +90,8 @@ def _parse_matrix_block(lines: list[str], start: int, path) -> tuple[MatrixFile,
             data[i] = [float(v) for v in parts]
         except ValueError as exc:
             raise FormatError(f"{path}: unparseable value in row {i}") from exc
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{path}: matrix block holds non-finite values")
     return MatrixFile(data=data, kind=kind, s=s), start + 1 + rows
 
 

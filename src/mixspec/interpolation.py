@@ -7,23 +7,20 @@ expression in the mode coordinates c = V^T G_X f:
 
     ||f||_X^2 = sum c_i^2          ||f||_Y^2 = sum mu_i c_i^2
 
-The K-functional K(x, f) = inf_{f=g+h} ||g||_X + x ||h||_Y is computed by
-tracing the Pareto frontier of the two quadratic objectives: the weighted
-problem min ||g||_X^2 + w ||f-g||_Y^2 has the per-mode solution
-g_i = c_i w mu_i / (1 + w mu_i), and the outer minimum over w is unimodal
-in log w, found by golden-section search.
+The K-functional K(x, f) = inf_{f=g+h} ||g||_X + x ||h||_Y is read off the
+Pareto frontier of the two quadratic objectives: the split minimizing
+||g||_X^2 + w ||f-g||_Y^2, g_i = c_i w mu_i / (1 + w mu_i), is optimal for K
+at one x = 1/R(w) (see ``_frontier``), so K at a given x is one Newton solve
+in log w, or a corner of the frontier.
 
 The quadratic companion K2(x, f) = inf (||g||_X^2 + x^2 ||h||_Y^2)^(1/2)
-has the closed form (sum c_i^2 x^2 mu_i / (1 + x^2 mu_i))^(1/2) and brackets
-K within a factor sqrt(2).
+is the frontier point w = x^2, with the closed form
+(sum c_i^2 x^2 mu_i / (1 + x^2 mu_i))^(1/2); it brackets K within sqrt(2).
 
-The (s, p) interpolation norm integrates (K/x^s)^p dx/x over a geometric
-grid wide enough that the analytic tail bounds (K <= x ||f||_Y near zero,
-K <= ||f||_X at infinity) stay below 1e-10 of the truncated integral; the
-tails are then added as corrections.  For p = 2 with the K2 variant the
-norm collapses to the spectral closed form
-sqrt(pi / (2 sin(pi s)) * sum mu_i^s c_i^2), which is exposed separately
-as an oracle-grade reference.
+The (s, p) interpolation norm is one trapezoid rule in log w along the
+frontier (see ``_frontier_norms``).  For p = 2 with the K2 variant it
+collapses to the spectral closed form sqrt(pi / (2 sin(pi s)) * sum
+mu_i^s c_i^2), which is exposed separately as an oracle-grade reference.
 """
 
 from __future__ import annotations
@@ -34,13 +31,13 @@ from typing import Any
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .errors import (
     CoupleError,
     DimensionError,
     NormalizationError,
     ParameterError,
-    TruncationError,
     UndefinedRatioError,
 )
 
@@ -62,12 +59,7 @@ __all__ = [
     "check_operator_interpolation",
     "check_interpolation_inequality",
     "check_inclusion_monotonicity",
-    "GOLDEN_TOL",
 ]
-
-# absolute golden-section tolerance for K, relative to min(||f||_X, x ||f||_Y)
-GOLDEN_TOL = 1e-13
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -152,56 +144,94 @@ def couple_from_grams(g_x, g_y) -> HilbertCouple:
 
 
 # ----------------------------------------------------------------------------
-# K-functional
+# The Pareto frontier and the K-functional
 # ----------------------------------------------------------------------------
 
+_SPAN = 40.0  # log-weight margin past 1/mu_max and 1/mu_min: e^-40 is below rounding
+_STEP = 0.25  # step of the trapezoid grid in u = log w
+
+
+def _frontier(mu, c2, u):
+    """||g||_X^2 = w^2 S2, ||h||_Y^2 = S1 and D = -d log R / du at w = e^u.
+
+    The split for w keeps g_i = q_i c_i, q = w mu / (1 + w mu).  With
+    a = (1 + w mu)^-2, S1 = sum c^2 mu a, S2 = sum c^2 mu^2 a and
+    R(w)^2 = S2 / S1, it is optimal for K at x = 1/R(w), which grows with u:
+    D = <q>_S2 - <q>_S1 >= 0, means weighted by the terms of S2 and S1.
+    The mode axis of c2 comes first; its other axes broadcast against u.
+    """
+    mu = mu.reshape(mu.shape + (1,) * np.ndim(u))
+    z = np.log(mu) + u
+    q = scipy.special.expit(z)
+    mu_a = mu * scipy.special.expit(-z) ** 2
+
+    def total(weight):
+        return np.einsum("i...,i...->...", c2, weight)
+
+    g2 = total(q * q)
+    h2 = total(mu_a)
+    return g2, h2, total(q * q * q) / g2 - total(mu_a * q) / h2
+
+
+def _bracket(mu):
+    """Range of u = log w outside which every mode sits on a corner to rounding."""
+    return -math.log(float(np.max(mu))) - _SPAN, -math.log(float(np.min(mu))) + _SPAN
+
+
+def _solve(fun, u, lo, hi):
+    """Root of fun, increasing through it in [lo, hi], by Newton lane by lane.
+
+    ``fun`` returns value and slope; a step that leaves the bracket is
+    replaced by bisection, so every lane converges.
+    """
+    for _ in range(100):
+        value, slope = fun(u)
+        lo = np.where(value < 0.0, u, lo)
+        hi = np.where(value > 0.0, u, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = u - value / slope
+        keep = ((newton > lo) & (newton < hi)) | (value == 0.0)
+        step = np.where(keep, newton, 0.5 * (lo + hi)) - u
+        u = u + step
+        if np.all(np.abs(step) <= 1e-12 * (1.0 + np.abs(u))):
+            break
+    return u
+
+
 def _k_samples_from_modes(mu, c, xs):
-    """Exact K(x, f) at the points xs, elementwise golden section in log w."""
+    """Exact K(x, f) at the points xs, read off the frontier.
+
+    Between 1/R(0) and 1/R(inf), K is the frontier point with 1/R(w) = x;
+    K is stationary in w there, so its error is second order in the root
+    error.  Outside, K is the corner x ||f||_Y below or ||f||_X above.
+    """
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0.0):
+    if not np.all(xs > 0.0):
         raise ParameterError("K-functional arguments x must be positive")
     c2 = c * c
-    sum_c2 = float(np.sum(c2))
-    if sum_c2 == 0.0:
+    live = c2 > 0.0
+    mu, c2 = mu[live], c2[live]
+    if not mu.size:
         return np.zeros_like(xs)
-    norm_x = math.sqrt(sum_c2)
+    norm_x = math.sqrt(float(np.sum(c2)))
     norm_y = math.sqrt(float(np.sum(mu * c2)))
-    # endpoint slack scales: phi(w) <= x||f||_Y + w*sqrt(sum mu^2 c^2)
-    #                        phi(w) <= ||f||_X + (x/w)*sqrt(sum c^2/mu)
-    s2 = math.sqrt(float(np.sum(mu * mu * c2)))
-    sm = math.sqrt(float(np.sum(c2 / mu)))
-    tol = GOLDEN_TOL * np.minimum(norm_x, xs * norm_y)
+    out = np.minimum(norm_x, xs * norm_y)
+    x_lo = norm_y / math.sqrt(float(np.sum(mu * mu * c2)))
+    x_hi = math.sqrt(float(np.sum(c2 / mu))) / norm_x
+    inside = (xs > x_lo) & (xs < x_hi)
+    if np.any(inside):
+        t = np.log(xs[inside])
+        c2 = c2[:, None]
 
-    def phi(w):
-        inv = 1.0 / (1.0 + mu[:, None] * w[None, :])
-        g2 = np.sum(c2[:, None] * (1.0 - inv) ** 2, axis=0)
-        h2 = np.sum((mu * c2)[:, None] * inv**2, axis=0)
-        return np.sqrt(g2) + xs * np.sqrt(h2)
+        def log_x_minus_t(u):
+            g2, h2, d = _frontier(mu, c2, u)
+            return u + 0.5 * np.log(h2 / g2) - t, d
 
-    # clamping keeps exp(w) representable; the endpoint slack stays far
-    # below tol because phi saturates exponentially fast in log w
-    lo = np.maximum(np.log(tol / (4.0 * s2)), -700.0)
-    hi = np.minimum(np.log(4.0 * xs * sm / tol), 700.0)
-    # classic golden section, vectorized across the xs lanes
-    w1 = hi - _INV_GOLDEN * (hi - lo)
-    w2 = lo + _INV_GOLDEN * (hi - lo)
-    f1 = phi(np.exp(w1))
-    f2 = phi(np.exp(w2))
-    iterations = int(np.ceil(np.max(np.log(np.maximum(hi - lo, 1.0) / 1e-7)) / -math.log(_INV_GOLDEN)))
-    for _ in range(max(iterations, 1)):
-        take_left = f1 < f2
-        hi = np.where(take_left, w2, hi)
-        lo = np.where(take_left, lo, w1)
-        w2_new = np.where(take_left, w1, lo + _INV_GOLDEN * (hi - lo))
-        w1_new = np.where(take_left, hi - _INV_GOLDEN * (hi - lo), w2)
-        f_new = phi(np.exp(np.where(take_left, w1_new, w2_new)))
-        f1_old = f1
-        f1 = np.where(take_left, f_new, f2)
-        f2 = np.where(take_left, f1_old, f_new)
-        w1, w2 = w1_new, w2_new
-    best = np.minimum(f1, f2)
-    # the infimum may sit at a corner of the frontier (g = 0 or h = 0)
-    return np.minimum(best, np.minimum(norm_x, xs * norm_y))
+        lo, hi = _bracket(mu)
+        u = _solve(log_x_minus_t, np.clip(2.0 * t, lo, hi), lo, hi)
+        g2, h2, _ = _frontier(mu, c2, u)
+        out[inside] = np.minimum(out[inside], np.sqrt(g2) + xs[inside] * np.sqrt(h2))
+    return out
 
 
 def k_functional_samples(couple: HilbertCouple, f, xs) -> np.ndarray:
@@ -223,7 +253,7 @@ def _k2_samples_from_modes(mu, c, xs):
     the overflow.
     """
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0.0):
+    if not np.all(xs > 0.0):
         raise ParameterError("K-functional arguments x must be positive")
     c2 = c * c
     t = mu[:, None] * (np.minimum(xs, 1e150) ** 2)[None, :]
@@ -317,106 +347,88 @@ def symmetry_check(couple: HilbertCouple, f, x: float) -> Report:
 # Interpolation norms
 # ----------------------------------------------------------------------------
 
-_BASE_DECADES = 6.0           # grid spans [1e-6/sqrt(mu_max), 1e6/sqrt(mu_min)]
-_BASE_POINTS = 512
-_TAIL_BUDGET = 1e-10          # required: tails below this fraction of the integral
-_TAIL_DESIGN = 1e-13          # the span is sized for this smaller fraction
-
-
 def _validate_sp(s: float, p: float):
     if not (0.0 < s < 1.0):
         raise ParameterError(f"s must lie in (0, 1), got {s}")
-    if p != math.inf and p < 1.0:
+    if not (p >= 1.0):
         raise ParameterError(f"p must lie in [1, inf], got {p}")
 
 
-def _norm_grid(mu, s: float, p: float):
-    """Geometric grid whose analytic tails are negligible for this (s, p).
+def _frontier_norms(mu, coords, s: float, p: float, variant: str) -> np.ndarray:
+    """(s, p) norms of the columns of ``coords`` (mode coordinates).
 
-    The span widens with 1/((1-s)p) and 1/(sp) so the tail bounds meet the
-    budget, but stays inside the representable exponent range; for extreme
-    (s, p) the caller falls back on the saturation of K at the grid ends.
+    All columns share one uniform grid in u = log w.  K integrates
+    (K x^-s)^p D du (dx/x = D du), which vanishes at both grid ends, plus the
+    corners x < 1/R(0) and x > 1/R(inf) in closed form.  K2 is the frontier
+    point w = x^2 (K2^2 = ||g||_X^2 + w ||h||_Y^2, dx/x = du/2); its sum is
+    continued past both ends as geometric series, where K2 is x ||f||_Y or
+    ||f||_X to rounding.  For p = inf the grid maximizer is refined by
+    solving d log K / d log x = H = s between its neighbours.
     """
-    lo = math.log(10.0) * (-_BASE_DECADES) - 0.5 * math.log(float(np.max(mu)))
-    hi = math.log(10.0) * _BASE_DECADES - 0.5 * math.log(float(np.min(mu)))
-    if p != math.inf:
-        lo = min(lo, math.log(_TAIL_DESIGN) / ((1.0 - s) * p) - 0.5 * math.log(float(np.max(mu))))
-        hi = max(hi, -math.log(_TAIL_DESIGN) / (s * p) - 0.5 * math.log(float(np.min(mu))))
-    lo, hi = max(lo, -600.0), min(hi, 600.0)
-    density = (2.0 * _BASE_DECADES * math.log(10.0)) / (_BASE_POINTS - 1)
-    npts = max(_BASE_POINTS, int(math.ceil((hi - lo) / density)) + 1)
-    return np.exp(np.linspace(lo, hi, npts))
+    if variant not in ("K", "K2"):
+        raise ParameterError(f"variant must be 'K' or 'K2', got {variant!r}")
+    c2 = coords * coords
+    out = np.zeros(c2.shape[1])
+    live = np.any(c2 > 0.0, axis=0)
+    c2 = c2[:, live]
+    lo, hi = _bracket(mu)
+    u, step = np.linspace(lo, hi, int(math.ceil((hi - lo) / _STEP)) + 1, retstep=True)
+
+    def log_profile(g2, h2, u):
+        """log of K x^-s, or of K2 x^-s, at the frontier points u."""
+        k2_sq = g2 + np.exp(u) * h2
+        if variant == "K2":
+            return 0.5 * np.log(k2_sq) - 0.5 * s * u
+        return np.log(k2_sq) - 0.5 * np.log(g2) - s * (u + 0.5 * np.log(h2 / g2))
+
+    g2, h2, d = _frontier(mu, c2[:, :, None], u)
+    profile = log_profile(g2, h2, u)
+    if variant == "K":
+        # the corners x ||f||_Y at x = 1/R(0) and ||f||_X at x = 1/R(inf)
+        log_nx, log_ny = 0.5 * np.log(np.sum(c2, axis=0)), 0.5 * np.log(mu @ c2)
+        edge_lo = log_ny + (1.0 - s) * (log_ny - 0.5 * np.log((mu * mu) @ c2))
+        edge_hi = log_nx - s * (0.5 * np.log((1.0 / mu) @ c2) - log_nx)
+    else:
+        # K2 is x ||f||_Y and ||f||_X to rounding at the grid ends
+        edge_lo, edge_hi = profile[:, 0], profile[:, -1]
+    top = np.maximum(np.max(profile, axis=1), np.maximum(edge_lo, edge_hi))
+
+    if p == math.inf:
+        j = np.clip(np.argmax(profile, axis=1), 1, u.size - 2)
+
+        def s_minus_h(v):
+            g2, h2, d = _frontier(mu, c2, v)
+            h = 1.0 / (1.0 + g2 * np.exp(-v) / h2)
+            return s - h, h * (1.0 - h) * (1.0 - 2.0 * d)
+
+        v = _solve(s_minus_h, u[j], u[j - 1], u[j + 1])
+        g2, h2, _ = _frontier(mu, c2, v)
+        out[live] = np.exp(np.maximum(top, log_profile(g2, h2, v)))
+        return out
+
+    terms = np.exp(p * (profile - top[:, None]))
+    ends_lo = np.exp(p * (edge_lo - top))
+    ends_hi = np.exp(p * (edge_hi - top))
+    if variant == "K":
+        total = step * np.sum(terms * d, axis=1)
+        total += ends_lo / ((1.0 - s) * p) + ends_hi / (s * p)
+    else:
+        total = 0.5 * step * (np.sum(terms, axis=1) + ends_lo / np.expm1(0.5 * (1.0 - s) * p * step)
+                              + ends_hi / np.expm1(0.5 * s * p * step))
+    out[live] = np.exp(top) * total ** (1.0 / p)
+    return out
 
 
 def interpolation_norm(couple: HilbertCouple, f, s: float, p: float, variant: str = "K") -> float:
-    """The (s, p) real-interpolation norm of f.
+    """The (s, p) real-interpolation norm of f, read off the frontier.
 
-    For finite p this is ( int_0^inf K(x, f)^p x^(-sp-1) dx )^(1/p),
-    quadratured by the trapezoid rule in log x over a geometric grid with
-    analytic tail corrections; for p = inf it is sup_x K(x, f) / x^s with
-    golden refinement around the grid maximizer.  ``variant`` selects the
-    exact K-functional ("K") or its quadratic companion ("K2").
+    For finite p this is ( int_0^inf K(x, f)^p x^(-sp-1) dx )^(1/p), for
+    p = inf sup_x K(x, f) / x^s.  ``variant`` selects the exact K-functional
+    ("K") or its quadratic companion ("K2").
     """
     _validate_sp(s, p)
-    sampler = _variant_sampler(variant)
-    c = couple.coords(f)
-    if not np.any(c):
-        return 0.0
-    xs = _norm_grid(couple.mu, s, p)
-    vals = sampler(couple.mu, c, xs)
-    profile = vals / xs**s
-
-    if p == math.inf:
-        j = int(np.argmax(profile))
-        lo = math.log(xs[max(j - 1, 0)])
-        hi = math.log(xs[min(j + 1, xs.size - 1)])
-        refined = _golden_max(lambda t: float(sampler(couple.mu, c, np.exp([t]))[0] * math.exp(-s * t)), lo, hi)
-        return max(float(profile[j]), refined)
-
-    t = np.log(xs)
-    integrand = profile**p
-    dt = t[1] - t[0]
-    truncated = dt * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1]))
-    norm_x = math.sqrt(float(np.sum(c * c)))
-    norm_y = math.sqrt(float(np.sum(couple.mu * c * c)))
-    tail_small = norm_y**p * xs[0] ** ((1.0 - s) * p) / ((1.0 - s) * p)
-    tail_large = norm_x**p * xs[-1] ** (-s * p) / (s * p)
-    if tail_small + tail_large > _TAIL_BUDGET * truncated:
-        # for extreme (s, p) the budget is unreachable within float range;
-        # the corrections are still exact up to the saturation defect of K
-        # at the grid ends (K/x||f||_Y resp. K/||f||_X is 1 - deviation and
-        # monotone beyond), which inflates them by at most p * deviation
-        deviation = max(
-            1.0 - float(vals[0]) / (xs[0] * norm_y),
-            1.0 - float(vals[-1]) / norm_x,
-        )
-        achieved = deviation * p
-        if achieved > 1e-8:
-            raise TruncationError(
-                "tail correction cannot reach the accuracy target for the "
-                "interpolation-norm integral",
-                achieved=achieved,
-            )
-    return float((truncated + tail_small + tail_large) ** (1.0 / p))
-
-
-def _variant_sampler(variant: str):
-    if variant == "K":
-        return _k_samples_from_modes
-    if variant == "K2":
-        return _k2_samples_from_modes
-    raise ParameterError(f"variant must be 'K' or 'K2', got {variant!r}")
-
-
-def _golden_max(fun, lo: float, hi: float) -> float:
-    while hi - lo > 1e-10:
-        m1 = hi - _INV_GOLDEN * (hi - lo)
-        m2 = lo + _INV_GOLDEN * (hi - lo)
-        if fun(m1) > fun(m2):
-            hi = m2
-        else:
-            lo = m1
-    return fun(0.5 * (lo + hi))
+    coords = couple.coords(f)[:, None]
+    return float(_frontier_norms(couple.mu, coords, s, p, variant)[0])
 
 
 def spectral_s_norm(couple: HilbertCouple, f, s: float) -> float:
@@ -516,33 +528,18 @@ def check_operator_interpolation(
     )
 
 
-def _batch_interp_norms(couple: HilbertCouple, mat, s: float, p: float, variant: str) -> np.ndarray:
-    """Interpolation norms of every column of ``mat`` on a shared grid."""
-    coords = couple.basis.T @ (couple.g_x @ mat)
-    xs = _norm_grid(couple.mu, s, p)
-    out = np.empty(mat.shape[1])
-    sampler = _variant_sampler(variant)
-    for j in range(mat.shape[1]):
-        c = coords[:, j]
-        if not np.any(c):
-            out[j] = 0.0
-            continue
-        vals = sampler(couple.mu, c, xs)
-        profile = vals / xs**s
-        if p == math.inf:
-            out[j] = float(np.max(profile))
-        else:
-            t = np.log(xs)
-            integrand = profile**p
-            trunc = (t[1] - t[0]) * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1]))
-            out[j] = trunc ** (1.0 / p)
-    return out
-
-
 def _sampled_operator_norm(t_mat, couple0, couple1, s, p, variant, directions, rng):
+    def norms(couple, mat):
+        coords = couple.basis.T @ (couple.g_x @ mat)
+        # column blocks bound the (columns x grid) work arrays
+        return np.concatenate([
+            _frontier_norms(couple.mu, coords[:, j:j + 256], s, p, variant)
+            for j in range(0, coords.shape[1], 256)
+        ])
+
     def ratios(cols):
-        num = _batch_interp_norms(couple1, t_mat @ cols, s, p, variant)
-        den = _batch_interp_norms(couple0, cols, s, p, variant)
+        num = norms(couple1, t_mat @ cols)
+        den = norms(couple0, cols)
         good = den > 0.0
         out = np.zeros_like(den)
         out[good] = num[good] / den[good]

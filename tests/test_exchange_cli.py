@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mixspec import (
     DiscreteFunction,
@@ -61,6 +63,18 @@ class TestMatrixFormat:
     def test_trailing_content(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# 1 1 Gram NA\n1\nextra\n")
+        with pytest.raises(FormatError):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("text", [
+        "# -1 3 Mass NA\n1 2 3\n",
+        "# 0 0 FractionalStiffness 0.5\n",
+        "# 1 1 Mass NA\nnan\n",
+        "# 2 2 Gram NA\n1 inf\ninf 1\n",
+    ])
+    def test_empty_or_non_finite_block(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
         with pytest.raises(FormatError):
             read_matrix(path)
 
@@ -144,6 +158,12 @@ class TestCliSpectrum:
 
     def test_missing_alpha(self, tmp_path):
         assert main(["spectrum", "--n", "7", "--out", str(tmp_path)]) == 2
+
+    def test_non_finite_domain(self, tmp_path, capsys):
+        code = main(["spectrum", "--n", "7", "--alpha", "1", "--domain", "0", "inf",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_non_finite_alpha(self, tmp_path, capsys, alpha):
@@ -241,6 +261,39 @@ class TestCliKfunc:
         assert main(["kfunc", "--couple", str(tmp_path / "bad.txt"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_s_near_one(self, tmp_path):
+        code = main(["kfunc", "--n", "31", "--s", "0.999999", "--p", "2",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "kfunc_report.json").read_text())
+        assert report["norms"][0]["closed_form_rel_error"] <= 1e-8
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--x", "abc"), ("--s", "abc"), ("--p", "nan"), ("--x", "1,nan"),
+    ])
+    def test_bad_number_exit_2(self, tmp_path, capsys, flag, value):
+        code = main(["kfunc", "--n", "3", flag, value, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tokens=st.lists(
+        st.lists(st.sampled_from(list("0123456789.-e,") + ["nan", "inf", "abc"]),
+                 max_size=8).map("".join),
+        min_size=3, max_size=3,
+    ))
+    def test_flag_fuzz(self, tmp_path, capsys, tokens):
+        s, p, x = tokens
+        argv = ["kfunc", "--n", "3", "--s", s, "--p", p, "--x", x, "--out", str(tmp_path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2, 64)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestCliVerify:
     def test_subset_deterministic(self, tmp_path):
@@ -267,6 +320,18 @@ class TestCliVerify:
         failed = [s for s in report["suites"] if not s["passed"]]
         assert len(failed) == 1 and failed[0]["counterexample"] is not None
 
+    @pytest.mark.parametrize("text", ["# -1 3 Mass NA\n1 2 3\n",
+                                      "# 0 0 FractionalStiffness 0.5\n",
+                                      "# 1 1 Mass NA\nnan\n"])
+    def test_malformed_matrix_counterexample(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["verify", "--suites", "lebesgue", "--matrix", str(path),
+                     "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        failed = [s for s in report["suites"] if not s["passed"]]
+        assert len(failed) == 1 and failed[0]["counterexample"]["check"] == "parse"
+
     def test_unknown_suite(self, tmp_path):
         assert main(["verify", "--suites", "nope", "--out", str(tmp_path)]) == 2
 
@@ -283,6 +348,14 @@ class TestConfigFile:
         assert main(["assemble", "--config", str(config)]) == 0
         block = read_matrix(tmp_path / "cfg_out" / "mass.txt")
         assert block.data.shape == (9, 9)
+
+    @pytest.mark.parametrize("line", ["alpha_range = -1 1", "domain = 0", "domain = 0 1 2"])
+    def test_value_count(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert main(["sweep", "--n", "7", "--alpha", "1", "--config", str(config),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_key(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -51,6 +51,9 @@ class TestMesh:
             build_mesh(1.0, 1.0, 4)
         with pytest.raises(DomainError):
             build_mesh(2.0, -1.0, 4)
+        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError):
+                build_mesh(a, b, 4)
 
     def test_invalid_size(self):
         with pytest.raises(SizeError):

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixspec import (
     CoupleError,
@@ -112,6 +116,8 @@ class TestKFunctional:
             k_functional(couple, np.ones(2), 0.0)
         with pytest.raises(ParameterError):
             k_functional(couple, np.ones(2), -1.0)
+        with pytest.raises(ParameterError):
+            k_functional(couple, np.ones(2), math.nan)
 
 
 class TestK2Functional:
@@ -199,6 +205,8 @@ class TestInterpolationNorm:
         with pytest.raises(ParameterError):
             interpolation_norm(couple, np.ones(2), 0.5, 0.5)
         with pytest.raises(ParameterError):
+            interpolation_norm(couple, np.ones(2), 0.5, math.nan)
+        with pytest.raises(ParameterError):
             interpolation_norm(couple, np.ones(2), 0.5, 2, "K3")
 
     def test_extreme_exponent_corners(self):
@@ -213,17 +221,59 @@ class TestInterpolationNorm:
         got = interpolation_norm(couple, f, 0.02, 2, "K2")
         assert got == pytest.approx(spectral_s_norm(couple, f, 0.02), rel=1e-5)
 
-    def test_truncation_guard(self, monkeypatch):
-        import mixspec.interpolation as mod
-        from mixspec import TruncationError
+    def test_k_variant_matches_quadrature(self):
+        # independent route: K by Brent minimization of the scalarization
+        # phi(log w), adaptive quadrature in log x between the corners
+        # 1/R(0) and 1/R(inf), and the corner pieces in closed form
+        rng = np.random.default_rng(18)
+        couple = random_couple(4, rng, spread=30.0)
+        f = rng.standard_normal(4)
+        mu, c2 = couple.mu, couple.coords(f) ** 2
+        norm_x, norm_y = math.sqrt(c2.sum()), math.sqrt((mu * c2).sum())
+        x_lo = norm_y / math.sqrt((mu * mu * c2).sum())
+        x_hi = math.sqrt((c2 / mu).sum()) / norm_x
+        bounds = (-math.log(mu.max()) - 40.0, -math.log(mu.min()) + 40.0)
 
-        # shrink the grid below what the tail budget needs
-        monkeypatch.setattr(mod, "_BASE_DECADES", 1.0)
-        monkeypatch.setattr(mod, "_TAIL_DESIGN", 1.0)
-        couple = couple_from_grams(np.eye(3), np.diag([1.0, 2.0, 3.0]))
-        with pytest.raises(TruncationError) as info:
-            interpolation_norm(couple, np.ones(3), 0.9, 1, "K2")
-        assert info.value.achieved is not None and info.value.achieved > 1e-10
+        def k_ref(x):
+            def phi(v):
+                q = 1.0 / (1.0 + np.exp(-(v + np.log(mu))))
+                g = math.sqrt((c2 * q * q).sum())
+                return g + x * math.sqrt((mu * c2 * (1.0 - q) ** 2).sum())
+
+            res = scipy.optimize.minimize_scalar(
+                phi, bounds=bounds, method="bounded", options={"xatol": 1e-10}
+            )
+            return min(res.fun, norm_x, x * norm_y)
+
+        for s in (0.1, 0.5, 0.9):
+            for p in (1.0, 2.0, 3.5):
+                middle, _ = scipy.integrate.quad(
+                    lambda t: (k_ref(math.exp(t)) * math.exp(-s * t)) ** p,
+                    math.log(x_lo), math.log(x_hi), epsabs=0.0, epsrel=1e-12, limit=200,
+                )
+                corners = (norm_y**p * x_lo ** ((1 - s) * p) / ((1 - s) * p)
+                           + norm_x**p * x_hi ** (-s * p) / (s * p))
+                expected = (middle + corners) ** (1.0 / p)
+                got = interpolation_norm(couple, f, s, p, "K")
+                assert got == pytest.approx(expected, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_mu=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        s=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+        p=st.sampled_from([1.0, 2.0, 7.0, math.inf]),
+    )
+    def test_frontier_norm_identities(self, log_mu, seed, s, p):
+        # diagonal couples with mu spread up to 1e8, so the swapped couple is
+        # exact and the comparison sees the norm alone
+        couple = couple_from_grams(np.eye(len(log_mu)), np.diag(10.0 ** np.array(log_mu)))
+        f = np.random.default_rng(seed).standard_normal(len(log_mu))
+        a = interpolation_norm(couple, f, s, p, "K")
+        b = interpolation_norm(couple.swapped(), f, 1.0 - s, p, "K")
+        assert a == pytest.approx(b, rel=1e-9)
+        got = interpolation_norm(couple, f, s, 2, "K2")
+        assert got == pytest.approx(spectral_s_norm(couple, f, s), rel=1e-8)
 
 
 class TestFunctionalHomogeneity:
