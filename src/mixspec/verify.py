@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from . import exchange, interpolation, reference, spectral
 from . import fem
@@ -286,8 +287,7 @@ def suite_spectrum_contract(rng):
         if not var["holds"]:
             return _result(name, details, {"check": "variational", "alpha": alpha, "per_k": var["per_k"]})
     res0 = spectral.solve_spectrum(base, 5)
-    import scipy.linalg as sla
-    direct = sla.eigh(base.a_loc.data, mass, subset_by_index=[0, 4])[0]
+    direct = scipy.linalg.eigh(base.a_loc.data, mass, subset_by_index=[0, 4])[0]
     red = float(np.max(np.abs(res0.lambdas - direct) / np.abs(direct)))
     details["alpha0_reduction_rel"] = red
     if red > 1e-10:
@@ -339,11 +339,23 @@ def suite_gamma_shift(rng):
     mesh = fem.build_mesh(0.0, 1.0, 31)
     base = spectral.assemble_pencil(mesh, 0.5, 0.0)
     c_h = spectral.embedding_constant(base)
+
+    def pencil_top(pencil):
+        # the eigensolve route, independent of gamma_shift's Cholesky certificate
+        return float(scipy.linalg.eigh(
+            0.5 * base.a_loc.data - pencil.a_alpha, base.mass.data, eigvals_only=True,
+            subset_by_index=[mesh.n - 1, mesh.n - 1])[0])
+
     for alpha in (0.0, 0.5, 1.0, 7.5, 100.0):
-        gamma = spectral.gamma_shift(base.with_alpha(alpha))
+        pencil = base.with_alpha(alpha)
+        gamma = spectral.gamma_shift(pencil)
         if gamma != 0.0:
             return _result(name, details, {"check": "gamma zero for alpha >= 0",
                                            "alpha": alpha, "gamma": gamma})
+        top = pencil_top(pencil)
+        if not top < 0.0:
+            return _result(name, details, {"check": "pencil maximum negative for alpha >= 0",
+                                           "alpha": alpha, "top": top})
     for alpha in (-0.2, -1.0 / c_h, -1.5 / c_h, -10.0, -200.0):
         pencil = base.with_alpha(alpha)
         gamma = spectral.gamma_shift(pencil)
@@ -353,6 +365,15 @@ def suite_gamma_shift(rng):
         if min_eig < -1e-10 * scale:
             return _result(name, details, {"check": "shifted PSD", "alpha": alpha,
                                            "min_eig": min_eig, "scale": scale})
+        # a gamma > 0 must be minimal: the shifted matrix is singular
+        if gamma > 0.0 and abs(min_eig) > 1e-10 * scale:
+            return _result(name, details, {"check": "shifted minimal", "alpha": alpha,
+                                           "min_eig": min_eig, "scale": scale})
+        if gamma == 0.0:
+            top = pencil_top(pencil)
+            if not top < 0.0:
+                return _result(name, details, {"check": "pencil maximum negative for gamma = 0",
+                                               "alpha": alpha, "top": top})
         details[f"gamma_alpha={alpha:.4g}"] = gamma
     return _result(name, details)
 

@@ -173,6 +173,24 @@ class TestCliSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("alpha", ["1e308", "-1e308"])
+    def test_overflowing_alpha(self, tmp_path, capsys, alpha):
+        # alpha is finite but A_loc + alpha*A_frac is not
+        code = main(["spectrum", "--n", "5", "--k", "3", f"--alpha={alpha}",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_eigenvalues_out_of_range(self, tmp_path, capsys):
+        # on a 1e-300 long interval the eigenvalues (~1e602) overflow and
+        # LAPACK returns none of them
+        code = main(["spectrum", "--domain", "0", "1e-300", "--n", "5", "--alpha", "1",
+                     "--k", "3", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_json_format(self, tmp_path):
         code = main(["spectrum", "--n", "15", "--s", "0.5", "--alpha", "0", "--k", "2",
                      "--format", "json", "--out", str(tmp_path)])

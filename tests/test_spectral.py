@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixspec import (
+    AccuracyError,
     ParameterError,
     RequestError,
     assemble_fractional_stiffness,
@@ -54,6 +56,15 @@ class TestPencilAssembly:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha(self, alpha):
         mesh = build_mesh(0.0, 1.0, 4)
+        with pytest.raises(ParameterError):
+            assemble_pencil(mesh, 0.5, alpha)
+        with pytest.raises(ParameterError):
+            assemble_pencil(mesh, 0.5, 0.0).with_alpha(alpha)
+
+
+    @pytest.mark.parametrize("alpha", [1e308, -1e308])
+    def test_overflowing_alpha(self, alpha):
+        mesh = build_mesh(0.0, 1.0, 5)
         with pytest.raises(ParameterError):
             assemble_pencil(mesh, 0.5, alpha)
         with pytest.raises(ParameterError):
@@ -124,6 +135,13 @@ class TestSolveSpectrum:
         pencil = assemble_pencil(build_mesh(0.0, 1.0, 1), 0.5, 0.0)
         res = solve_spectrum(pencil, 1)
         assert res.lambdas[0] == pytest.approx(12.0, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_eigenvalues_out_of_range(self, alpha):
+        # eigenvalues ~1e602 overflow; LAPACK returns none of them
+        pencil = assemble_pencil(build_mesh(0.0, 1e-300, 5), 0.5, alpha)
+        with pytest.raises(AccuracyError):
+            solve_spectrum(pencil, 3)
 
     def test_request_error(self):
         pencil = assemble_pencil(build_mesh(0.0, 1.0, 3), 0.5, 0.0)
@@ -230,6 +248,28 @@ class TestVariationalCharacterization:
         assert lam4 == pytest.approx(res.lambdas[3], abs=1e-8 * (1 + abs(res.lambdas[3])))
 
 
+    def test_raised_eigenvalue_fails(self, base63):
+        res = solve_spectrum(base63, 3)
+        lambdas = res.lambdas.copy()
+        lambdas[1] *= 1.0 + 1e-6
+        rep = verify_variational_characterization(
+            dataclasses.replace(res, lambdas=lambdas), base63, rng=np.random.default_rng(4)
+        )
+        assert not rep["holds"]
+        assert [row["holds"] for row in rep["per_k"]] == [True, False, True]
+
+    def test_top_eigenpair_as_first_fails(self, base63):
+        # u_n attains lambda_n, but the sampled quotients fall far below it
+        lambdas, vectors = scipy.linalg.eigh(base63.a_alpha, base63.mass.data)
+        res = solve_spectrum(base63, 1)
+        fake = dataclasses.replace(res, lambdas=lambdas[-1:], vectors=vectors[:, -1:])
+        rep = verify_variational_characterization(fake, base63, rng=np.random.default_rng(5))
+        row = rep["per_k"][0]
+        assert not rep["holds"]
+        assert row["attained"] == pytest.approx(lambdas[-1], rel=1e-10)
+        assert row["sampled_min"] < lambdas[-1]
+
+
 class TestSweepAndThreshold:
     def test_alpha_zero_column(self, base63):
         table = sweep_alpha(base63.mesh, 0.5, [0.0], 3)
@@ -277,6 +317,32 @@ class TestCholeskyInertia:
         pencil = base.with_alpha(-ratio / c_h)
         lam1 = solve_spectrum(pencil, 1).lambdas[0]
         assert _lambda_1_positive(pencil) == (lam1 > 0.0)
+
+
+class TestGammaCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([31, 63]),
+        draw=st.one_of(
+            st.tuples(st.just("wide"), st.floats(min_value=-50.0, max_value=50.0)),
+            st.tuples(st.just("edge"), st.floats(min_value=-1e-3, max_value=1e-3)),
+        ),
+    )
+    def test_matches_eigensolve(self, inertia_bases, n, draw):
+        # "edge" draws alpha within 1e-3 relative of -1/(2 C_h), where gamma leaves 0
+        base, c_h = inertia_bases[n]
+        kind, x = draw
+        alpha = x if kind == "wide" else -(1.0 + x) / (2.0 * c_h)
+        pencil = base.with_alpha(alpha)
+        deficit = 0.5 * base.a_loc.data - pencil.a_alpha
+        mass = base.mass.data
+        top = scipy.linalg.eigh(deficit, mass, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0]
+        scale = float(np.max(np.abs(deficit))) / float(np.max(np.abs(mass)))
+        gamma = gamma_shift(pencil)
+        if top < -1e-9 * scale:
+            assert gamma == 0.0
+        else:
+            assert gamma == pytest.approx(max(0.0, top), rel=1e-10, abs=1e-10 * scale)
 
 
 class TestBrezisInequality:
