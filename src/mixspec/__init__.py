@@ -58,9 +58,11 @@ from .spectral import (
     SpectrumResult,
     SweepTable,
     assemble_pencil,
+    certify_spectrum,
     embedding_constant,
     gamma_shift,
     locate_threshold,
+    monotone_in_alpha,
     solve_spectrum,
     sweep_alpha,
     verify_brezis_inequality,

@@ -93,8 +93,8 @@ def build_mesh(a: float, b: float, n: int) -> Mesh1D:
     """Build the uniform mesh of (a, b) with n interior nodes."""
     a = float(a)
     b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"invalid domain: need finite a < b, got a={a}, b={b}")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a)):
+        raise DomainError(f"invalid domain: need finite a < b and b - a, got a={a}, b={b}")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise SizeError(f"invalid size: need n >= 1 interior nodes, got {n}")
     n = int(n)

@@ -16,6 +16,13 @@ identity lambda_k = 1/mu_k - gamma, with mu_k the eigenvalues of
 (A_alpha + gamma M)^{-1} M, is a check in the tests and the verify suite,
 not the solver.
 
+That lambda_1..lambda_k are the k smallest eigenvalues, the min-max
+characterization, is certified by Sylvester inertia (``certify_spectrum``):
+a Cholesky factor just below lambda_1 and a Bunch-Kaufman LDL^T count just
+above lambda_k prove it for every direction at once.  The sampled
+Rayleigh-quotient check ``verify_variational_characterization`` stays as
+the independent randomized route of the tests and the verify suite.
+
 The coupling threshold where lambda_1 changes sign is exactly
 alpha* = -1/C_h, with C_h the largest eigenvalue of (A_frac, A_loc): the
 discrete embedding constant.  ``locate_threshold`` recovers it by bisection
@@ -50,8 +57,10 @@ __all__ = [
     "embedding_constant",
     "gamma_shift",
     "solve_spectrum",
+    "certify_spectrum",
     "verify_variational_characterization",
     "sweep_alpha",
+    "monotone_in_alpha",
     "locate_threshold",
     "verify_brezis_inequality",
 ]
@@ -156,10 +165,13 @@ def gamma_shift(pencil: MixedPencil) -> float:
     return max(0.0, float(top))
 
 
-def _positive_definite(matrix: np.ndarray) -> bool:
-    """One Cholesky attempt of a finite symmetric matrix (Sylvester inertia)."""
+def _positive_definite(matrix: np.ndarray, *, overwrite: bool = False) -> bool:
+    """One Cholesky attempt of a finite symmetric matrix (Sylvester inertia).
+
+    With ``overwrite`` a Fortran-ordered matrix is factored in place.
+    """
     try:
-        scipy.linalg.cholesky(matrix, check_finite=False)
+        scipy.linalg.cholesky(matrix, overwrite_a=overwrite, check_finite=False)
     except scipy.linalg.LinAlgError:
         return False
     return True
@@ -238,6 +250,108 @@ def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
     )
 
 
+def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
+    """Certify by Sylvester inertia that the computed values are the k smallest.
+
+    The number of eigenvalues of (A_alpha, M) below sigma equals the number
+    of negative eigenvalues of A_alpha - sigma M (spectrum slicing; Parlett,
+    The Symmetric Eigenvalue Problem, ch. 3).  Two factorizations settle
+    the min-max characterization for every direction at once:
+
+    * a Cholesky factor of A_alpha - (lambda_1 - delta_1) M shows that no
+      eigenvalue lies below lambda_1 - delta_1;
+    * a Bunch-Kaufman LDL^T of A_alpha - (lambda_k + delta_k) M counts the
+      eigenvalues below lambda_k + delta_k; the count must be exactly k.
+
+    With the residual and M-orthonormality checks, the two counts prove that
+    lambda_1..lambda_k are the k smallest eigenvalues.  A count above k is
+    kept in the report.  It passes only as a cluster straddling lambda_k:
+    a third count, at lambda_k - delta_k, must then find no eigenvalue there
+    beyond the computed ones, so every uncomputed eigenvalue below the upper
+    shift ties with lambda_k to within delta_k.
+
+    The shift is delta = max(1e-8 (1 + |lambda|), margin).  The margin
+    n eps max ||A_alpha - lambda M||_1 / lambda_min(M), over lambda in
+    {lambda_1, lambda_k}, bounds the rounding of the factorizations in
+    eigenvalue units; lambda_min(M) = h (2 + cos(n pi/(n+1)))/3 is the
+    closed-form smallest eigenvalue of the P1 mass matrix.  Each u_k must
+    also attain lambda_k: |u_k^T A u_k / u_k^T M u_k - lambda_k| <= 1e-8 (1 + |lambda_k|).
+
+    Every shifted matrix is formed and factored in place in one n x n
+    buffer; nothing is drawn at random.
+    """
+    a_mat = pencil.a_alpha
+    mass = pencil.mass.data
+    lambdas = result.lambdas
+    n, k = pencil.n, lambdas.size
+    # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
+    buf = np.empty((n, n))
+
+    def shifted(sigma):
+        np.multiply(mass, -sigma, out=buf)
+        np.add(buf, a_mat, out=buf)
+        return buf.T
+
+    mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
+    norm = max(scipy.linalg.lapack.dlange("1", shifted(lam)) for lam in (lambdas[0], lambdas[-1]))
+    margin = float(n * np.finfo(float).eps * norm / mass_min)
+    delta_1 = max(1e-8 * (1.0 + abs(lambdas[0])), margin)
+    delta_k = max(1e-8 * (1.0 + abs(lambdas[-1])), margin)
+    lower, upper = float(lambdas[0] - delta_1), float(lambdas[-1] + delta_k)
+    below_lower = (0 if _positive_definite(shifted(lower), overwrite=True)
+                   else _count_below(shifted(lower)))
+    below_upper = _count_below(shifted(upper))
+    report = {
+        "op": "variational_characterization",
+        "margin": margin,
+        "lower_shift": lower,
+        "below_lower": below_lower,
+        "upper_shift": upper,
+        "below_upper": below_upper,
+    }
+    counts_hold = below_lower == 0 and below_upper == k
+    if below_upper > k:
+        tie = float(lambdas[-1] - delta_k)
+        below_tie = _count_below(shifted(tie))
+        computed = int(np.count_nonzero(lambdas < tie))
+        report.update(tie_shift=tie, below_tie=below_tie, computed_below_tie=computed)
+        counts_hold = below_lower == 0 and below_tie == computed
+
+    per_k = []
+    for j in range(k):
+        lam = lambdas[j]
+        u_k = result.vectors[:, j]
+        attained = float(u_k @ a_mat @ u_k) / float(u_k @ mass @ u_k)
+        holds = bool(abs(attained - lam) <= 1e-8 * (1.0 + abs(lam)))
+        per_k.append({"k": j + 1, "lambda": float(lam), "attained": attained, "holds": holds})
+    report["holds"] = counts_hold and all(row["holds"] for row in per_k)
+    report["per_k"] = per_k
+    return report
+
+
+def _count_below(shifted: np.ndarray) -> int:
+    """Negative eigenvalues of a Fortran-ordered symmetric matrix, factored in place.
+
+    Bunch-Kaufman LDL^T (LAPACK dsytrf, blocked with its queried workspace);
+    by Sylvester's law D has the inertia of the matrix.  A 1x1 block counts
+    when its pivot is negative; a 2x2 block [[a, b], [b, c]] holds one
+    negative eigenvalue when its determinant is negative, two when the
+    determinant is positive and a is negative.
+    """
+    lapack = scipy.linalg.lapack
+    lwork = int(lapack.dsytrf_lwork(shifted.shape[0])[0])
+    ldu, ipiv, _ = lapack.dsytrf(shifted, lwork=lwork, overwrite_a=True)
+    diag = np.diagonal(ldu)
+    pairs = np.flatnonzero(ipiv < 0)   # 2x2 blocks take two adjacent rows
+    first, second = pairs[0::2], pairs[1::2]
+    single = np.ones(diag.size, dtype=bool)
+    single[pairs] = False
+    a, c, b = diag[first], diag[second], ldu[first, second]
+    det = (a / b) * (c / b) - 1.0   # det / b^2: b != 0 in a 2x2 pivot, and no overflow
+    return int(np.count_nonzero(diag[single] < 0.0) + np.count_nonzero(det < 0.0)
+               + 2 * np.count_nonzero((det > 0.0) & (a < 0.0)))
+
+
 def verify_variational_characterization(
     result: SpectrumResult, pencil: MixedPencil, *, samples: int = 1000, rng=None
 ) -> dict:
@@ -249,9 +363,8 @@ def verify_variational_characterization(
     eigenvectors; every Rayleigh quotient must stay above
     lambda_k - 1e-8 (1 + |lambda_k|), and u_k itself must attain lambda_k.
     The eigenvector quotient is included in the reported sampled minimum.
-    On every spectrum request measured the smallest sampled quotient was at
-    least 290 lambda_k (lambda_k > 0) or positive (lambda_k < 0), so the
-    reported sampled minimum is the dense ``attained`` quotient.
+    This proves the bound for the sampled directions only; it is the
+    randomized route that checks ``certify_spectrum`` at small n.
 
     The mass products of the sample block go through a CSR copy of M (it
     skips the exact zeros of whatever matrix the pencil holds); A_alpha is
@@ -323,6 +436,12 @@ def sweep_alpha(mesh: Mesh1D, s: float, alphas, k: int) -> SweepTable:
         alphas=alphas.copy(), gammas=gammas, lambdas=lams,
         signs=np.sign(lams[:, 0]).astype(int),
     )
+
+
+def monotone_in_alpha(table: SweepTable) -> bool:
+    """Every column of the sweep is nondecreasing in alpha (A_frac is PSD), to 1e-9 relative."""
+    lams = table.lambdas[np.argsort(table.alphas)]
+    return bool(np.all(np.diff(lams, axis=0) >= -1e-9 * (1.0 + np.abs(lams[1:]))))
 
 
 def _lambda_1_positive(pencil: MixedPencil) -> bool:

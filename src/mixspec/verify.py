@@ -286,6 +286,11 @@ def suite_spectrum_contract(rng):
         var = spectral.verify_variational_characterization(res, pencil, samples=1000, rng=rng)
         if not var["holds"]:
             return _result(name, details, {"check": "variational", "alpha": alpha, "per_k": var["per_k"]})
+        # the sampled check passed, so the inertia certificate must agree
+        cert = spectral.certify_spectrum(res, pencil)
+        if not cert["holds"]:
+            return _result(name, details, {"check": "certificate vs sampled", "alpha": alpha,
+                                           "certificate": cert})
     res0 = spectral.solve_spectrum(base, 5)
     direct = scipy.linalg.eigh(base.a_loc.data, mass, subset_by_index=[0, 4])[0]
     red = float(np.max(np.abs(res0.lambdas - direct) / np.abs(direct)))
@@ -295,7 +300,7 @@ def suite_spectrum_contract(rng):
 
     grid = np.linspace(-2.0 / c_h, 2.0 / c_h, 9)
     table = spectral.sweep_alpha(mesh, 0.5, grid, 3)
-    if not np.all(np.diff(table.lambdas, axis=0) >= -1e-9 * (1.0 + np.abs(table.lambdas[1:]))):
+    if not spectral.monotone_in_alpha(table):
         return _result(name, details, {"check": "eigenvalue monotonicity in alpha"})
     for alpha, lam1 in zip(table.alphas, table.lambdas[:, 0]):
         margin = alpha + 1.0 / c_h

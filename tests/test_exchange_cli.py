@@ -211,6 +211,41 @@ class TestCliSpectrum:
         assert func.coeffs.size == 15
 
 
+    @pytest.mark.parametrize("alpha", ["-1e-3", "-1E-3", "-.001", "-1_0e-4", "-1e+0"])
+    def test_negative_number_forms(self, tmp_path, alpha):
+        # a negative value in any float() spelling is a value, as in --alpha=...
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        args = ["spectrum", "--n", "7", "--s", "0.5", "--k", "2"]
+        assert main(args + ["--alpha", alpha, "--out", str(spaced)]) == 0
+        assert main(args + [f"--alpha={alpha}", "--out", str(joined)]) == 0
+        for name in ("spectrum.csv", "spectrum_report.json"):
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
+    @pytest.mark.parametrize("alpha", ["-inf", "-nan", "-Infinity"])
+    def test_negative_non_finite_alpha_exit_2(self, tmp_path, capsys, alpha):
+        code = main(["spectrum", "--n", "7", "--alpha", alpha, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_certificate_report(self, tmp_path):
+        # the variational block holds the inertia counts; --seed feeds nothing
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["spectrum", "--n", "31", "--s", "0.3", "--alpha", "-2", "--k", "3",
+                         "--seed", seed, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "spectrum_report.json").read_text()))
+        var = reports[0]["variational"]
+        assert var["holds"] and var["below_lower"] == 0 and var["below_upper"] == 3
+        assert var["lower_shift"] < reports[0]["lambda_1"] < var["upper_shift"]
+        assert var["margin"] > 0.0
+        assert [row["k"] for row in var["per_k"]] == [1, 2, 3]
+        assert "sampled_min" not in var["per_k"][0]
+        assert reports[0]["inputs"].pop("seed") == 1 and reports[1]["inputs"].pop("seed") == 2
+        assert reports[0] == reports[1]
+
+
 class TestCliSweep:
     def test_threshold_report(self, tmp_path):
         code = main(["sweep", "--n", "31", "--s", "0.5", "--alpha-range", "-2", "1", "5",
@@ -239,6 +274,50 @@ class TestCliSweep:
     def test_empty_grid(self, tmp_path):
         assert main(["sweep", "--n", "15", "--s", "0.5", "--alpha-range",
                      "-1", "1", "0", "--out", str(tmp_path)]) == 2
+
+
+    def test_negative_exponent_range(self, tmp_path):
+        plain, exponent = tmp_path / "plain", tmp_path / "exponent"
+        args = ["sweep", "--n", "15", "--s", "0.5", "--k", "2"]
+        assert main(args + ["--alpha-range", "-10", "1", "3", "--out", str(plain)]) == 0
+        assert main(args + ["--alpha-range", "-1e1", "1", "3", "--out", str(exponent)]) == 0
+        for name in ("sweep.csv", "sweep_report.json"):
+            assert (plain / name).read_bytes() == (exponent / name).read_bytes()
+
+
+class TestNumericFlagFuzz:
+    """Every numeric token reaches the number parser; the exit code contract holds."""
+
+    NUMBER = st.lists(st.sampled_from(list("0123456789.-+e_") + ["E", "nan", "inf"]),
+                      max_size=8).map("".join)
+    # a count decides how many spectra the sweep solves, so it is drawn small
+    COUNT = st.sampled_from(["1", "2", "3", "0", "-1", "2.5", "1e0", "-1e0", "nan", "-inf"])
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2, 64)
+        assert "Traceback" not in capsys.readouterr().err
+        return code
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(alpha=NUMBER, a=NUMBER, b=NUMBER)
+    def test_spectrum(self, tmp_path, capsys, alpha, a, b):
+        # a value parses the same spaced as in its --alpha=value form
+        base = ["spectrum", "--n", "3", "--k", "2", "--domain", a, b, "--out", str(tmp_path)]
+        assert self._run(base + ["--alpha", alpha], capsys) == self._run(
+            base + [f"--alpha={alpha}"], capsys)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lo=NUMBER, hi=NUMBER, count=COUNT, a=NUMBER)
+    def test_sweep(self, tmp_path, capsys, lo, hi, count, a):
+        self._run(["sweep", "--n", "3", "--k", "2", "--alpha-range", lo, hi, count,
+                   "--domain", a, "1", "--out", str(tmp_path)], capsys)
 
 
 class TestCliKfunc:

@@ -55,6 +55,11 @@ class TestMesh:
             with pytest.raises(DomainError):
                 build_mesh(a, b, 4)
 
+    def test_overflowing_length(self):
+        # both ends finite, but b - a is not
+        with pytest.raises(DomainError):
+            build_mesh(-1e308, 1e308, 4)
+
     def test_invalid_size(self):
         with pytest.raises(SizeError):
             build_mesh(0.0, 1.0, 0)

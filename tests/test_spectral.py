@@ -14,12 +14,15 @@ from mixspec import (
     assemble_fractional_stiffness,
     assemble_local_stiffness,
     assemble_mass,
+    SweepTable,
     assemble_pencil,
     build_mesh,
+    certify_spectrum,
     couple_from_grams,
     embedding_constant,
     gamma_shift,
     locate_threshold,
+    monotone_in_alpha,
     solve_spectrum,
     spectral_s_norm,
     sweep_alpha,
@@ -270,6 +273,66 @@ class TestVariationalCharacterization:
         assert row["sampled_min"] < lambdas[-1]
 
 
+class TestSpectrumCertificate:
+    def test_raised_eigenvalue_fails(self, base63):
+        res = solve_spectrum(base63, 3)
+        lambdas = res.lambdas.copy()
+        lambdas[1] *= 1.0 + 1e-6
+        rep = certify_spectrum(dataclasses.replace(res, lambdas=lambdas), base63)
+        assert not rep["holds"]
+        assert [row["holds"] for row in rep["per_k"]] == [True, False, True]
+
+    def test_top_eigenpair_as_first_fails(self, base63):
+        # u_n attains lambda_n, but all n eigenvalues lie below lambda_n + delta
+        lambdas, vectors = scipy.linalg.eigh(base63.a_alpha, base63.mass.data)
+        res = solve_spectrum(base63, 1)
+        fake = dataclasses.replace(res, lambdas=lambdas[-1:], vectors=vectors[:, -1:])
+        rep = certify_spectrum(fake, base63)
+        assert not rep["holds"]
+        assert rep["per_k"][0]["holds"]
+        assert rep["below_lower"] == 62 and rep["below_upper"] == 63
+
+    def test_skipped_eigenvalue_fails(self, base63):
+        # lambda_2..lambda_4 with their vectors: every quotient is attained and the
+        # sampled check passes, but one eigenvalue lies below the reported first
+        pencil = base63.with_alpha(-1.0)
+        res = solve_spectrum(pencil, 4)
+        fake = dataclasses.replace(res, lambdas=res.lambdas[1:], vectors=res.vectors[:, 1:])
+        sampled = verify_variational_characterization(fake, pencil, rng=np.random.default_rng(6))
+        assert sampled["holds"]
+        rep = certify_spectrum(fake, pencil)
+        assert not rep["holds"]
+        assert rep["below_lower"] == 1 and rep["below_upper"] == 4
+        assert rep["below_tie"] == 3 and rep["computed_below_tie"] == 2
+
+    def test_cluster_straddling_lambda_k(self):
+        # at this size the lowest eigenvalues come in pairs; lambda_6 - lambda_5
+        # is below the tolerance 1e-8 (1 + |lambda_5|), so 6 lie below the upper
+        # shift, and the tie count at lambda_5 - delta_5 finds only lambda_1..lambda_4
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, 1023), 0.7, -30.0)
+        res = solve_spectrum(pencil, 5)
+        rep = certify_spectrum(res, pencil)
+        assert rep["below_upper"] == 6
+        assert rep["below_tie"] == rep["computed_below_tie"] == 4
+        assert rep["holds"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([31, 63]),
+        s=st.floats(min_value=0.05, max_value=0.95),
+        alpha=st.floats(min_value=-50.0, max_value=50.0),
+        k=st.integers(min_value=1, max_value=6),
+    )
+    def test_counts_match_eigensolve(self, n, s, alpha, k):
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, n), s, alpha)
+        res = solve_spectrum(pencil, k)
+        rep = certify_spectrum(res, pencil)
+        assert rep["holds"]
+        every = scipy.linalg.eigh(pencil.a_alpha, pencil.mass.data, eigvals_only=True)
+        assert rep["below_upper"] == np.count_nonzero(every < rep["upper_shift"])
+        assert rep["below_lower"] == np.count_nonzero(every < rep["lower_shift"]) == 0
+
+
 class TestSweepAndThreshold:
     def test_alpha_zero_column(self, base63):
         table = sweep_alpha(base63.mesh, 0.5, [0.0], 3)
@@ -281,6 +344,14 @@ class TestSweepAndThreshold:
         table = sweep_alpha(base63.mesh, 0.5, alphas, 3)
         diffs = np.diff(table.lambdas, axis=0)
         assert np.all(diffs >= -1e-9 * (1 + np.abs(table.lambdas[1:])))
+
+    def test_monotone_helper(self, base63):
+        table = sweep_alpha(base63.mesh, 0.5, [3.0, -1.0, 0.0], 2)
+        assert monotone_in_alpha(table)
+        # the same rows paired with reversed couplings decrease in alpha
+        flipped = SweepTable(alphas=-table.alphas, gammas=table.gammas,
+                             lambdas=table.lambdas.copy(), signs=table.signs.copy())
+        assert not monotone_in_alpha(flipped)
 
     def test_sign_change_location(self, base63):
         c_h = embedding_constant(base63)
