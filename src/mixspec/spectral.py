@@ -334,22 +334,16 @@ def _count_below(shifted: np.ndarray) -> int:
 
     Bunch-Kaufman LDL^T (LAPACK dsytrf, blocked with its queried workspace);
     by Sylvester's law D has the inertia of the matrix.  A 1x1 block counts
-    when its pivot is negative; a 2x2 block [[a, b], [b, c]] holds one
-    negative eigenvalue when its determinant is negative, two when the
-    determinant is positive and a is negative.
+    when its pivot is negative.  A 2x2 block [[a, b], [b, c]] is taken only
+    when |a c| < alpha^2 b^2, alpha = (1 + sqrt 17)/8, so its determinant is
+    negative and it holds exactly one negative eigenvalue.
     """
     lapack = scipy.linalg.lapack
     lwork = int(lapack.dsytrf_lwork(shifted.shape[0])[0])
     ldu, ipiv, _ = lapack.dsytrf(shifted, lwork=lwork, overwrite_a=True)
-    diag = np.diagonal(ldu)
-    pairs = np.flatnonzero(ipiv < 0)   # 2x2 blocks take two adjacent rows
-    first, second = pairs[0::2], pairs[1::2]
-    single = np.ones(diag.size, dtype=bool)
-    single[pairs] = False
-    a, c, b = diag[first], diag[second], ldu[first, second]
-    det = (a / b) * (c / b) - 1.0   # det / b^2: b != 0 in a 2x2 pivot, and no overflow
-    return int(np.count_nonzero(diag[single] < 0.0) + np.count_nonzero(det < 0.0)
-               + 2 * np.count_nonzero((det > 0.0) & (a < 0.0)))
+    single = ipiv > 0   # rows of a 2x2 block carry the same negative ipiv
+    return int(np.count_nonzero(np.diagonal(ldu)[single] < 0.0)
+               + np.count_nonzero(~single) // 2)
 
 
 def verify_variational_characterization(

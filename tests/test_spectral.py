@@ -11,10 +11,10 @@ from mixspec import (
     AccuracyError,
     ParameterError,
     RequestError,
+    SweepTable,
     assemble_fractional_stiffness,
     assemble_local_stiffness,
     assemble_mass,
-    SweepTable,
     assemble_pencil,
     build_mesh,
     certify_spectrum,
@@ -29,7 +29,7 @@ from mixspec import (
     verify_brezis_inequality,
     verify_variational_characterization,
 )
-from mixspec.spectral import _lambda_1_positive
+from mixspec.spectral import _count_below, _lambda_1_positive
 
 
 @pytest.fixture(scope="module")
@@ -292,17 +292,30 @@ class TestSpectrumCertificate:
         assert rep["per_k"][0]["holds"]
         assert rep["below_lower"] == 62 and rep["below_upper"] == 63
 
-    def test_skipped_eigenvalue_fails(self, base63):
-        # lambda_2..lambda_4 with their vectors: every quotient is attained and the
-        # sampled check passes, but one eigenvalue lies below the reported first
+    @pytest.mark.parametrize("j, counts", [(0, (0, 1)), (1, (1, 2))])
+    def test_repeated_eigenpair_fails(self, base63, j, counts):
+        # (lambda_j, u_j) twice is attained: with j = 0 only one eigenvalue lies
+        # below the upper shift, with j = 1 the count is right but lambda_1 lies below
+        res = solve_spectrum(base63, 2)
+        fake = dataclasses.replace(res, lambdas=res.lambdas[[j, j]], vectors=res.vectors[:, [j, j]])
+        rep = certify_spectrum(fake, base63)
+        assert not rep["holds"]
+        assert (rep["below_lower"], rep["below_upper"]) == counts
+        assert all(row["holds"] for row in rep["per_k"])
+
+    @pytest.mark.parametrize("skipped", [0, 1])
+    def test_skipped_eigenvalue_fails(self, base63, skipped):
+        # three of the first four eigenpairs: every quotient is attained and the
+        # sampled check passes, but an uncomputed eigenvalue lies among them
         pencil = base63.with_alpha(-1.0)
         res = solve_spectrum(pencil, 4)
-        fake = dataclasses.replace(res, lambdas=res.lambdas[1:], vectors=res.vectors[:, 1:])
+        kept = [j for j in range(4) if j != skipped]
+        fake = dataclasses.replace(res, lambdas=res.lambdas[kept], vectors=res.vectors[:, kept])
         sampled = verify_variational_characterization(fake, pencil, rng=np.random.default_rng(6))
         assert sampled["holds"]
         rep = certify_spectrum(fake, pencil)
         assert not rep["holds"]
-        assert rep["below_lower"] == 1 and rep["below_upper"] == 4
+        assert rep["below_lower"] == (1 if skipped == 0 else 0) and rep["below_upper"] == 4
         assert rep["below_tie"] == 3 and rep["computed_below_tie"] == 2
 
     def test_cluster_straddling_lambda_k(self):
@@ -315,6 +328,19 @@ class TestSpectrumCertificate:
         assert rep["below_upper"] == 6
         assert rep["below_tie"] == rep["computed_below_tie"] == 4
         assert rep["holds"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=1, max_value=40),
+           diagonal=st.sampled_from([0.0, 1e-3, 1.0]))
+    def test_inertia_count_matches_eigvalsh(self, seed, n, diagonal):
+        # a small diagonal forces 2x2 pivots
+        rng = np.random.default_rng(seed)
+        sym = rng.standard_normal((n, n))
+        sym = sym + sym.T
+        np.fill_diagonal(sym, diagonal * rng.standard_normal(n))
+        expected = int(np.count_nonzero(np.linalg.eigvalsh(sym) < 0.0))
+        assert _count_below(np.asfortranarray(sym)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
