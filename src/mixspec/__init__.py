@@ -59,6 +59,7 @@ from .spectral import (
     SweepTable,
     assemble_pencil,
     certify_spectrum,
+    check_contract,
     embedding_constant,
     gamma_shift,
     locate_threshold,

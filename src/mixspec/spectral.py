@@ -22,6 +22,8 @@ a Cholesky factor just below lambda_1 and a Bunch-Kaufman LDL^T count just
 above lambda_k prove it for every direction at once.  The sampled
 Rayleigh-quotient check ``verify_variational_characterization`` stays as
 the independent randomized route of the tests and the verify suite.
+``check_contract`` is the one statement of the spectrum contract, with its
+tolerances; the CLI and the verify suite only read its flags.
 
 The coupling threshold where lambda_1 changes sign is exactly
 alpha* = -1/C_h, with C_h the largest eigenvalue of (A_frac, A_loc): the
@@ -58,6 +60,7 @@ __all__ = [
     "gamma_shift",
     "solve_spectrum",
     "certify_spectrum",
+    "check_contract",
     "verify_variational_characterization",
     "sweep_alpha",
     "monotone_in_alpha",
@@ -66,6 +69,11 @@ __all__ = [
 ]
 
 CLUSTER_RTOL = 1e-7
+# the flags of check_contract besides its certificate, in the order they are checked
+CONTRACT_FLAGS = ("m_orthonormality_holds", "b_orthogonality_holds", "residuals_hold",
+                  "lower_bound_holds")
+THRESHOLD_RTOL = 1e-8  # |alpha* + 1/C_h| C_h
+_BISECTION_RTOL = 1e-9  # final bracket width times C_h
 
 
 @dataclass(frozen=True)
@@ -329,6 +337,33 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     return report
 
 
+def check_contract(result: SpectrumResult, pencil: MixedPencil) -> dict:
+    """The spectrum contract of one solve: its flags, their errors and ``holds``.
+
+    max |V^T M V - I| <= 1e-8; off-diagonal of V^T A_alpha V <= 1e-6 times
+    its largest diagonal; residuals <= 1e-8 (1 + |lambda|); lambda_1 > -gamma;
+    and ``variational`` (``certify_spectrum``).  ``holds`` is their conjunction.
+    """
+    v = result.vectors
+    m_err = float(np.max(np.abs(v.T @ pencil.mass.data @ v - np.eye(v.shape[1]))))
+    b_mat = v.T @ pencil.a_alpha @ v
+    b_scale = float(np.max(np.abs(np.diag(b_mat))))
+    b_err = float(np.max(np.abs(b_mat - np.diag(np.diag(b_mat)))))
+    contract = {
+        "m_orthonormality_error": m_err,
+        "m_orthonormality_holds": m_err <= 1e-8,
+        "b_orthogonality_error": b_err,
+        "b_orthogonality_holds": b_err <= 1e-6 * b_scale,
+        "residuals_hold": bool(np.all(
+            result.residuals <= 1e-8 * (1.0 + np.abs(result.lambdas)))),
+        "lower_bound_holds": bool(result.lambdas[0] > -result.gamma),
+        "variational": certify_spectrum(result, pencil),
+    }
+    contract["holds"] = (all(contract[key] for key in CONTRACT_FLAGS)
+                         and contract["variational"]["holds"])
+    return contract
+
+
 def _count_below(shifted: np.ndarray) -> int:
     """Negative eigenvalues of a Fortran-ordered symmetric matrix, factored in place.
 
@@ -443,47 +478,51 @@ def _lambda_1_positive(pencil: MixedPencil) -> bool:
     return _positive_definite(pencil.a_alpha)
 
 
-def locate_threshold(mesh: Mesh1D, s: float, *, rel_tol: float = 1e-9) -> dict:
+def locate_threshold(mesh: Mesh1D, s: float) -> dict:
     """Bisect the sign change of lambda_1(alpha); it must land on -1/C_h.
 
     Each step tests the sign by one Cholesky attempt of A_alpha (inertia).
+    ``holds`` is |alpha* + 1/C_h| C_h <= THRESHOLD_RTOL.
     """
     base = assemble_pencil(mesh, s, 0.0)
     c_h = embedding_constant(base)
     lo, hi = -2.0 / c_h, 0.0
     if _lambda_1_positive(base.with_alpha(lo)) or not _lambda_1_positive(base.with_alpha(hi)):
         raise RequestError("bisection bracket does not straddle the sign change")
-    while hi - lo > rel_tol / c_h:
+    while hi - lo > _BISECTION_RTOL / c_h:
         mid = 0.5 * (lo + hi)
         if _lambda_1_positive(base.with_alpha(mid)):
             hi = mid
         else:
             lo = mid
     alpha_star = 0.5 * (lo + hi)
+    difference = alpha_star + 1.0 / c_h
+    rel = abs(difference) * c_h
     return {
         "alpha_star": alpha_star,
         "minus_inv_c": -1.0 / c_h,
         "embedding_constant": c_h,
-        "difference": alpha_star + 1.0 / c_h,
+        "difference": difference,
+        "relative_difference": rel,
+        "holds": rel <= THRESHOLD_RTOL,
     }
 
 
-def verify_brezis_inequality(
-    mesh: Mesh1D, s: float, trials: int, *, rng=None, ascent: bool = True
-) -> dict:
+def verify_brezis_inequality(mesh: Mesh1D, s: float, trials: int, *, rng=None) -> dict:
     """Sampled sharpness of u^T A_frac u <= C (u^T M u)^(1-s) (u^T (M+A_loc) u)^s.
 
     Draws standard normal coefficient vectors, reports the largest ratio,
-    and (optionally) polishes the best sample by local ascent on the log
-    ratio.  The maximum is reported, not asserted against any continuum
-    constant; across mesh refinement it should stay stable.
+    and polishes the best sample by local ascent on the log ratio.  The
+    maximum is reported, not asserted against any continuum constant;
+    across mesh refinement it should stay stable.
     """
     if trials < 1:
         raise RequestError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(0) if rng is None else rng
-    a_frac = assemble_fractional_stiffness(mesh, s).data
-    mass = assemble_mass(mesh).data
-    w12 = mass + assemble_local_stiffness(mesh).data
+    pencil = assemble_pencil(mesh, s, 0.0)
+    a_frac = pencil.a_frac.data
+    mass = pencil.mass.data
+    w12 = mass + pencil.a_loc.data
 
     z = rng.standard_normal((mesh.n, trials))
     num = np.einsum("ij,ij->j", z, a_frac @ z)
@@ -494,29 +533,25 @@ def verify_brezis_inequality(
     ratios = num / den
     best = int(np.argmax(ratios))
     max_ratio = float(ratios[best])
-    u_best = z[:, best]
 
-    if ascent:
-        def neg_log_ratio(u):
-            qf = float(u @ a_frac @ u)
-            qm = float(u @ mass @ u)
-            qw = float(u @ w12 @ u)
-            if min(qf, qm, qw) <= 0.0:
-                return np.inf, np.zeros_like(u)
-            value = -(math.log(qf) - (1.0 - s) * math.log(qm) - s * math.log(qw))
-            grad = -(2.0 * (a_frac @ u) / qf
-                     - 2.0 * (1.0 - s) * (mass @ u) / qm
-                     - 2.0 * s * (w12 @ u) / qw)
-            return value, grad
+    def neg_log_ratio(u):
+        qf = float(u @ a_frac @ u)
+        qm = float(u @ mass @ u)
+        qw = float(u @ w12 @ u)
+        if min(qf, qm, qw) <= 0.0:
+            return np.inf, np.zeros_like(u)
+        value = -(math.log(qf) - (1.0 - s) * math.log(qm) - s * math.log(qw))
+        grad = -(2.0 * (a_frac @ u) / qf
+                 - 2.0 * (1.0 - s) * (mass @ u) / qm
+                 - 2.0 * s * (w12 @ u) / qw)
+        return value, grad
 
-        opt = scipy.optimize.minimize(
-            neg_log_ratio, u_best, jac=True, method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
-        )
-        if np.isfinite(opt.fun):
-            max_ratio = max(max_ratio, math.exp(-float(opt.fun)))
-
-    pencil = assemble_pencil(mesh, s, 0.0)
+    opt = scipy.optimize.minimize(
+        neg_log_ratio, z[:, best], jac=True, method="L-BFGS-B",
+        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
+    )
+    if np.isfinite(opt.fun):
+        max_ratio = max(max_ratio, math.exp(-float(opt.fun)))
     return {
         "op": "brezis_ratio",
         "s": s,

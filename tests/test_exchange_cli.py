@@ -22,6 +22,7 @@ from mixspec.exchange import (
     write_matrix,
     write_vector,
 )
+from mixspec.verify import check_matrix_file
 
 
 class TestMatrixFormat:
@@ -245,6 +246,16 @@ class TestCliSpectrum:
         assert reports[0]["inputs"].pop("seed") == 1 and reports[1]["inputs"].pop("seed") == 2
         assert reports[0] == reports[1]
 
+    def test_report_keys(self, tmp_path):
+        assert main(["spectrum", "--n", "15", "--alpha", "1", "--k", "2",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "spectrum_report.json").read_text())
+        assert set(report) == {
+            "op", "inputs", "gamma", "lambda_1", "m_orthonormality_error",
+            "m_orthonormality_holds", "b_orthogonality_error", "b_orthogonality_holds",
+            "residuals_hold", "lower_bound_holds", "variational", "clusters",
+        }
+
 
 class TestCliSweep:
     def test_threshold_report(self, tmp_path):
@@ -255,6 +266,13 @@ class TestCliSweep:
         assert report["threshold_holds"] and report["monotone_in_alpha"]
         c_inv = -report["minus_inv_c"]
         assert abs(report["alpha_star"] + c_inv) <= 1e-8 * c_inv
+
+    def test_report_keys(self, tmp_path):
+        assert main(["sweep", "--n", "15", "--alpha-range", "-2", "1", "3", "--k", "2",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "sweep_report.json").read_text())
+        assert set(report) == {"op", "inputs", "alpha_star", "minus_inv_c", "difference",
+                               "threshold_holds", "monotone_in_alpha"}
 
     def test_single_point_grid(self, tmp_path):
         code = main(["sweep", "--n", "15", "--s", "0.5", "--alpha", "0.5",
@@ -416,6 +434,23 @@ class TestCliVerify:
         report = json.loads((tmp_path / "bad" / "verify_report.json").read_text())
         failed = [s for s in report["suites"] if not s["passed"]]
         assert len(failed) == 1 and failed[0]["counterexample"] is not None
+
+    def test_fractional_structure_counterexamples(self, tmp_path):
+        data = assemble_fractional_stiffness(build_mesh(0.0, 1.0, 6), 0.5).data
+        broken = data.copy()
+        broken[1, 3] = broken[3, 1] = 3.14
+        cases = {"toeplitz.txt": (broken, {"check": "toeplitz", "offset": 2}),
+                 "psd.txt": (data - 2.0 * np.max(data) * np.eye(6), None)}
+        for name, (matrix, expected) in cases.items():
+            lines = ["# 6 6 FractionalStiffness 0.5"]
+            lines += [" ".join(repr(float(v)) for v in row) for row in matrix]
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+            counterexample = check_matrix_file(tmp_path / name)["counterexample"]
+            if expected is None:
+                assert set(counterexample) == {"check", "min_eig"}
+                assert counterexample["check"] == "psd" and counterexample["min_eig"] < 0.0
+            else:
+                assert counterexample == expected
 
     @pytest.mark.parametrize("text", ["# -1 3 Mass NA\n1 2 3\n",
                                       "# 0 0 FractionalStiffness 0.5\n",

@@ -78,6 +78,16 @@ class TestCoupleConstruction:
         with pytest.raises(DimensionError):
             couple_from_grams(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("name, indefinite", [
+        ("G_Y", np.diag([1.0, -1.0])), ("G_Y", np.diag([1.0, 0.0])),
+        ("G_Y", np.array([[1.0, 2.0], [2.0, 1.0]])), ("G_X", np.array([[1.0, 2.0], [2.0, 1.0]])),
+    ])
+    def test_non_definite_gram(self, name, indefinite):
+        # G_X fails the factorization inside the eigensolve; G_Y fails as some mu <= 0
+        grams = {"G_X": np.diag([1.0, 4.0]), "G_Y": np.diag([1.0, 4.0]), name: indefinite}
+        with pytest.raises(CoupleError, match=f"^{name} is not positive definite$"):
+            couple_from_grams(grams["G_X"], grams["G_Y"])
+
 
 class TestKFunctional:
     def test_zero_element(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from mixspec import (
     assemble_pencil,
     build_mesh,
     certify_spectrum,
+    check_contract,
     couple_from_grams,
     embedding_constant,
     gamma_shift,
@@ -29,6 +31,8 @@ from mixspec import (
     verify_brezis_inequality,
     verify_variational_characterization,
 )
+from mixspec import spectral
+from mixspec.cli import main
 from mixspec.spectral import _count_below, _lambda_1_positive
 
 
@@ -359,6 +363,62 @@ class TestSpectrumCertificate:
         assert rep["below_lower"] == np.count_nonzero(every < rep["lower_shift"]) == 0
 
 
+def _rotate_first_two(res):
+    # M-orthonormal still, each vector attains its value to 1e-8, but u_1^T A u_2 != 0
+    t = 1e-5
+    v = res.vectors.copy()
+    v[:, :2] = res.vectors[:, :2] @ np.array([[math.cos(t), -math.sin(t)],
+                                              [math.sin(t), math.cos(t)]])
+    return dataclasses.replace(res, vectors=v)
+
+
+def _raise_last(res):
+    lambdas = res.lambdas.copy()
+    lambdas[-1] *= 1.0 + 1e-6
+    return dataclasses.replace(res, lambdas=lambdas)
+
+
+# one mutation of a solve per contract flag, each making that flag alone false
+CONTRACT_MUTATIONS = {
+    "m_orthonormality_holds": lambda res: dataclasses.replace(
+        res, vectors=res.vectors * np.r_[1.0 + 1e-6, np.ones(res.lambdas.size - 1)]),
+    "b_orthogonality_holds": _rotate_first_two,
+    "residuals_hold": lambda res: dataclasses.replace(res, residuals=np.ones(res.lambdas.size)),
+    "lower_bound_holds": lambda res: dataclasses.replace(res, gamma=-float(res.lambdas[0])),
+    "variational.holds": _raise_last,
+}
+
+
+def _contract_flags(contract):
+    return {**{key: contract[key] for key in spectral.CONTRACT_FLAGS},
+            "variational.holds": contract["variational"]["holds"]}
+
+
+class TestSpectrumContract:
+    def test_solve_holds(self, base63):
+        contract = check_contract(solve_spectrum(base63, 3), base63)
+        assert contract["holds"] is True
+        assert all(value is True for value in _contract_flags(contract).values())
+
+    @pytest.mark.parametrize("flag", sorted(CONTRACT_MUTATIONS))
+    def test_mutation_fails_one_flag(self, base63, flag):
+        contract = check_contract(CONTRACT_MUTATIONS[flag](solve_spectrum(base63, 3)), base63)
+        assert contract["holds"] is False
+        flags = _contract_flags(contract)
+        assert [key for key, value in flags.items() if value is not True] == [flag]
+
+    @pytest.mark.parametrize("flag", sorted(CONTRACT_MUTATIONS))
+    def test_cli_exits_1(self, tmp_path, monkeypatch, flag):
+        solve = spectral.solve_spectrum
+        monkeypatch.setattr(spectral, "solve_spectrum",
+                            lambda pencil, k: CONTRACT_MUTATIONS[flag](solve(pencil, k)))
+        assert main(["spectrum", "--n", "63", "--s", "0.5", "--alpha", "0", "--k", "3",
+                     "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "spectrum_report.json").read_text())
+        assert "holds" not in report
+        assert [key for key, value in _contract_flags(report).items() if value is not True] == [flag]
+
+
 class TestSweepAndThreshold:
     def test_alpha_zero_column(self, base63):
         table = sweep_alpha(base63.mesh, 0.5, [0.0], 3)
@@ -391,6 +451,11 @@ class TestSweepAndThreshold:
     def test_threshold_identity(self, base63):
         th = locate_threshold(base63.mesh, 0.5)
         assert abs(th["difference"]) <= 1e-8 / th["embedding_constant"]
+
+    def test_threshold_flag(self, base63):
+        th = locate_threshold(base63.mesh, 0.5)
+        assert th["holds"] is True
+        assert th["relative_difference"] == abs(th["difference"]) * th["embedding_constant"]
 
 
 @pytest.fixture(scope="module")
