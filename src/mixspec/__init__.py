@@ -51,6 +51,7 @@ from .interpolation import (
     k_functional,
     operator_norm,
     spectral_s_norm,
+    stack_couples,
     symmetry_check,
 )
 from .spectral import (

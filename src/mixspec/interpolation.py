@@ -21,6 +21,15 @@ The (s, p) interpolation norm is one trapezoid rule in log w along the
 frontier (see ``_frontier_norms``).  For p = 2 with the K2 variant it
 collapses to the spectral closed form sqrt(pi / (2 sin(pi s)) * sum
 mu_i^s c_i^2), which is exposed separately as an oracle-grade reference.
+
+Lanes: a couple may carry leading lane axes, one couple per lane.
+``couple_from_grams`` takes stacked Grams (..., d, d) of one dimension, and
+``stack_couples`` joins couples of mixed dimensions on one lane axis by
+padding each with identity modes (mu = 1).  An element padded with zeros
+has c = 0 on those modes, and a mode with c = 0 takes no part in K: the
+frontier sums skip it and each lane's Newton bracket comes from its live
+modes only.  K, K2 and ``symmetry_check`` then run once over all lanes;
+the single couple is the case without lane axes.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ __all__ = [
     "KFunctionalCurve",
     "Report",
     "couple_from_grams",
+    "stack_couples",
     "k_functional",
     "k_functional_samples",
     "k2_functional",
@@ -64,13 +74,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HilbertCouple:
-    """Compatible couple of Hilbert norms with cached mode decomposition."""
+    """Compatible couple of Hilbert norms with cached mode decomposition.
+
+    Every field may carry the same leading lane axes, one couple per lane
+    (``residual`` is then one value per lane); ``coords``, ``swapped`` and
+    the K functionals work lane by lane, the norms only on one couple.
+    """
 
     g_x: np.ndarray
     g_y: np.ndarray
     mu: np.ndarray
     basis: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
     def __post_init__(self):
         for name in ("g_x", "g_y", "mu", "basis"):
@@ -79,12 +94,12 @@ class HilbertCouple:
 
     @property
     def dim(self) -> int:
-        return self.mu.size
+        return self.mu.shape[-1]
 
     def coords(self, f) -> np.ndarray:
         """Coordinates of f in the G_X-orthonormal mode basis."""
         f = self._check_vector(f)
-        return self.basis.T @ (self.g_x @ f)
+        return (np.swapaxes(self.basis, -1, -2) @ (self.g_x @ f[..., None]))[..., 0]
 
     def norm_x(self, f) -> float:
         f = self._check_vector(f)
@@ -96,20 +111,23 @@ class HilbertCouple:
 
     def swapped(self) -> "HilbertCouple":
         """The couple (Y, X), built from the same mode decomposition."""
-        order = np.argsort(1.0 / self.mu, kind="stable")
-        basis = (self.basis / np.sqrt(self.mu)[None, :])[:, order]
+        order = np.argsort(1.0 / self.mu, axis=-1, kind="stable")
+        # the columns are gathered as rows of the transpose, which keeps each
+        # basis column-major, the layout (and so the coordinate bits) of a
+        # single couple's basis[:, order]
+        rows = np.swapaxes(self.basis / np.sqrt(self.mu)[..., None, :], -1, -2)
         return HilbertCouple(
             g_x=self.g_y.copy(),
             g_y=self.g_x.copy(),
-            mu=(1.0 / self.mu)[order].copy(),
-            basis=basis,
+            mu=np.take_along_axis(1.0 / self.mu, order, axis=-1),
+            basis=np.swapaxes(np.take_along_axis(rows, order[..., :, None], axis=-2), -1, -2),
             residual=self.residual,
         )
 
     def _check_vector(self, f) -> np.ndarray:
         f = np.asarray(f, dtype=float)
-        if f.shape != (self.dim,):
-            raise DimensionError(f"vector shape {f.shape} does not match couple dimension {self.dim}")
+        if f.shape != self.mu.shape:
+            raise DimensionError(f"vector shape {f.shape} does not match couple shape {self.mu.shape}")
         return f
 
 
@@ -120,28 +138,55 @@ def couple_from_grams(g_x, g_y) -> HilbertCouple:
     the basis is G_X-orthonormal, G_Y-orthogonal with v_i^T G_Y v_i = mu_i.
     The eigensolve factors G_X, so it fails unless G_X is positive definite;
     V^T G_Y V = diag(mu), so by Sylvester G_Y is positive definite iff mu > 0.
+    Stacked Grams (..., d, d) give a couple with those lane axes, from the
+    same eigensolve lane by lane; one failing lane fails the whole stack.
     """
     g_x = np.array(g_x, dtype=float)
     g_y = np.array(g_y, dtype=float)
-    if g_x.ndim != 2 or g_x.shape[0] != g_x.shape[1]:
+    if g_x.ndim < 2 or g_x.shape[-1] != g_x.shape[-2]:
         raise DimensionError(f"G_X must be square, got {g_x.shape}")
     if g_x.shape != g_y.shape:
         raise DimensionError(f"Gram shapes differ: {g_x.shape} vs {g_y.shape}")
     for name, g in (("G_X", g_x), ("G_Y", g_y)):
-        if not np.allclose(g, g.T, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(g)))):
+        atol = 1e-12 * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+        if not np.all(np.isclose(g, np.swapaxes(g, -1, -2), rtol=0.0, atol=atol[..., None, None])):
             raise CoupleError(f"{name} is not symmetric")
-    g_x = 0.5 * (g_x + g_x.T)
-    g_y = 0.5 * (g_y + g_y.T)
+    g_x = 0.5 * (g_x + np.swapaxes(g_x, -1, -2))
+    g_y = 0.5 * (g_y + np.swapaxes(g_y, -1, -2))
     try:
         mu, basis = scipy.linalg.eigh(g_y, g_x)
     except scipy.linalg.LinAlgError as exc:
         raise CoupleError("G_X is not positive definite") from exc
     if np.any(mu <= 0.0):
         raise CoupleError("G_Y is not positive definite")
-    residual = float(
-        np.linalg.norm(g_y @ basis - g_x @ basis @ np.diag(mu)) / np.linalg.norm(g_y)
-    )
-    return HilbertCouple(g_x=g_x, g_y=g_y, mu=mu, basis=basis, residual=residual)
+    residual = np.linalg.norm(g_y @ basis - g_x @ basis * mu[..., None, :], axis=(-2, -1)) / (
+        np.linalg.norm(g_y, axis=(-2, -1)))
+    return HilbertCouple(g_x=g_x, g_y=g_y, mu=mu, basis=basis,
+                         residual=float(residual) if residual.ndim == 0 else residual)
+
+
+def stack_couples(couples) -> HilbertCouple:
+    """One couple with a single lane axis from couples of any dimension.
+
+    Each couple contributes its lanes (one if it has none), in order.  A
+    couple of dimension d below the widest one is padded on the extra
+    coordinates by the identity couple: G_X = G_Y = I, mu = 1 and basis
+    vectors e_k there.  An element padded with zeros keeps its K, K2 and
+    norms, because its coordinates on the padded modes are exactly 0.
+    """
+    width = max(couple.dim for couple in couples)
+    parts = {name: [] for name in ("g_x", "g_y", "mu", "basis", "residual")}
+    for couple in couples:
+        lanes, d = couple.mu.shape[:-1], couple.dim
+        for name in ("g_x", "g_y", "basis"):
+            block = np.broadcast_to(np.eye(width), lanes + (width, width)).copy()
+            block[..., :d, :d] = getattr(couple, name)
+            parts[name].append(block.reshape(-1, width, width))
+        mu = np.ones(lanes + (width,))
+        mu[..., :d] = couple.mu
+        parts["mu"].append(mu.reshape(-1, width))
+        parts["residual"].append(np.reshape(couple.residual, -1))
+    return HilbertCouple(**{name: np.concatenate(arrays) for name, arrays in parts.items()})
 
 
 # ----------------------------------------------------------------------------
@@ -159,9 +204,8 @@ def _frontier(mu, c2, u):
     a = (1 + w mu)^-2, S1 = sum c^2 mu a, S2 = sum c^2 mu^2 a and
     R(w)^2 = S2 / S1, it is optimal for K at x = 1/R(w), which grows with u:
     D = <q>_S2 - <q>_S1 >= 0, means weighted by the terms of S2 and S1.
-    The mode axis of c2 comes first; its other axes broadcast against u.
+    mu and c2 carry the mode axis first; their other axes broadcast against u.
     """
-    mu = mu.reshape(mu.shape + (1,) * np.ndim(u))
     z = np.log(mu) + u
     q = scipy.special.expit(z)
     mu_a = mu * scipy.special.expit(-z) ** 2
@@ -174,9 +218,17 @@ def _frontier(mu, c2, u):
     return g2, h2, total(q * q * q) / g2 - total(mu_a * q) / h2
 
 
-def _bracket(mu):
-    """Range of u = log w outside which every mode sits on a corner to rounding."""
-    return -math.log(float(np.max(mu))) - _SPAN, -math.log(float(np.min(mu))) + _SPAN
+_libm_log = np.vectorize(math.log, otypes=[float])
+
+
+def _bracket(mu_max, mu_min):
+    """Range of u = log w outside which every mode in [mu_min, mu_max] sits on a corner.
+
+    Elementwise, so one bracket per lane.  The logs are libm's: numpy's
+    SIMD log differs from it in the last bit now and then, and the bracket
+    sets the norm grid, so a single couple keeps the bits it always had.
+    """
+    return -_libm_log(mu_max) - _SPAN, -_libm_log(mu_min) + _SPAN
 
 
 def _solve(fun, u, lo, hi):
@@ -200,50 +252,69 @@ def _solve(fun, u, lo, hi):
 
 
 def _k_samples_from_modes(mu, c, xs):
-    """Exact K(x, f) at the points xs, read off the frontier.
+    """Exact K(x, f) at the points xs, read off the frontier, lane by lane.
 
-    Between 1/R(0) and 1/R(inf), K is the frontier point with 1/R(w) = x;
-    K is stationary in w there, so its error is second order in the root
-    error.  Outside, K is the corner x ||f||_Y below or ||f||_X above.
+    mu and c hold the modes on the last axis, after any lane axes; xs holds
+    the points on its last axis, and its other axes broadcast against the
+    lanes.  Modes with c = 0 are dead and take no part.  Between 1/R(0) and
+    1/R(inf), K is the frontier point with 1/R(w) = x; K is stationary in w
+    there, so its error is second order in the root error.  Outside, K is
+    the corner x ||f||_Y below or ||f||_X above.  Every inside point of
+    every lane goes through one Newton solve.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all(xs > 0.0):
         raise ParameterError("K-functional arguments x must be positive")
     c2 = c * c
     live = c2 > 0.0
-    mu, c2 = mu[live], c2[live]
-    if not mu.size:
-        return np.zeros_like(xs)
-    norm_x = math.sqrt(float(np.sum(c2)))
-    norm_y = math.sqrt(float(np.sum(mu * c2)))
+    c2 = np.where(live, c2, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a lane without live modes
+        norm_x = np.sqrt(np.sum(c2, axis=-1))[..., None]
+        norm_y = np.sqrt(np.sum(mu * c2, axis=-1))[..., None]
+        x_lo = norm_y / np.sqrt(np.sum(mu * mu * c2, axis=-1))[..., None]
+        x_hi = np.sqrt(np.sum(c2 / mu, axis=-1))[..., None] / norm_x
     out = np.minimum(norm_x, xs * norm_y)
-    x_lo = norm_y / math.sqrt(float(np.sum(mu * mu * c2)))
-    x_hi = math.sqrt(float(np.sum(c2 / mu))) / norm_x
+    xs = np.broadcast_to(xs, out.shape)
     inside = (xs > x_lo) & (xs < x_hi)
     if np.any(inside):
         t = np.log(xs[inside])
-        c2 = c2[:, None]
+        # the modes of the lane of every inside point, mode axis first; C order,
+        # so the frontier sums add the modes in the order a single couple does
+        modes = out.shape + mu.shape[-1:]
+        mu_t = np.ascontiguousarray(np.broadcast_to(mu[..., None, :], modes)[inside].T)
+        c2_t = np.ascontiguousarray(np.broadcast_to(c2[..., None, :], modes)[inside].T)
+        live_t = c2_t > 0.0
+        lo, hi = _bracket(np.max(mu_t, axis=0, where=live_t, initial=0.0),
+                          np.min(mu_t, axis=0, where=live_t, initial=np.inf))
 
         def log_x_minus_t(u):
-            g2, h2, d = _frontier(mu, c2, u)
+            g2, h2, d = _frontier(mu_t, c2_t, u)
             return u + 0.5 * np.log(h2 / g2) - t, d
 
-        lo, hi = _bracket(mu)
         u = _solve(log_x_minus_t, np.clip(2.0 * t, lo, hi), lo, hi)
-        g2, h2, _ = _frontier(mu, c2, u)
+        g2, h2, _ = _frontier(mu_t, c2_t, u)
         out[inside] = np.minimum(out[inside], np.sqrt(g2) + xs[inside] * np.sqrt(h2))
     return out
 
 
 def k_functional_samples(couple: HilbertCouple, f, xs) -> np.ndarray:
-    """K(x, f) for every x in xs (vectorized exact Pareto scalarization)."""
-    c = couple.coords(f)
-    return _k_samples_from_modes(couple.mu, c, xs)
+    """K(x, f) for every x in xs (vectorized exact Pareto scalarization).
+
+    With lane axes, f is (..., d) and xs (..., m) or (m,); the result is
+    (..., m).
+    """
+    return _k_samples_from_modes(couple.mu, couple.coords(f), xs)
 
 
-def k_functional(couple: HilbertCouple, f, x: float) -> float:
+def _at_points(samples, couple, f, x):
+    """samples(couple, f, xs) at one x, or at one x per lane."""
+    values = samples(couple, f, np.asarray(x, dtype=float)[..., None])[..., 0]
+    return float(values) if values.ndim == 0 else values
+
+
+def k_functional(couple: HilbertCouple, f, x):
     """Peetre K-functional K(x, f) = inf_{f=g+h} ||g||_X + x ||h||_Y."""
-    return float(k_functional_samples(couple, f, np.array([float(x)]))[0])
+    return _at_points(k_functional_samples, couple, f, x)
 
 
 def _k2_samples_from_modes(mu, c, xs):
@@ -251,14 +322,14 @@ def _k2_samples_from_modes(mu, c, xs):
 
     x is clamped at 1e150 before squaring; beyond that point t/(1+t) equals
     1.0 in double precision anyway, so the clamp changes nothing but avoids
-    the overflow.
+    the overflow.  Lane axes as for ``_k_samples_from_modes``.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all(xs > 0.0):
         raise ParameterError("K-functional arguments x must be positive")
     c2 = c * c
-    t = mu[:, None] * (np.minimum(xs, 1e150) ** 2)[None, :]
-    return np.sqrt(np.sum(c2[:, None] * t / (1.0 + t), axis=0))
+    t = mu[..., :, None] * (np.minimum(xs, 1e150) ** 2)[..., None, :]
+    return np.sqrt(np.sum(c2[..., :, None] * t / (1.0 + t), axis=-2))
 
 
 def k2_functional_samples(couple: HilbertCouple, f, xs) -> np.ndarray:
@@ -266,8 +337,8 @@ def k2_functional_samples(couple: HilbertCouple, f, xs) -> np.ndarray:
     return _k2_samples_from_modes(couple.mu, couple.coords(f), xs)
 
 
-def k2_functional(couple: HilbertCouple, f, x: float) -> float:
-    return float(k2_functional_samples(couple, f, np.array([float(x)]))[0])
+def k2_functional(couple: HilbertCouple, f, x):
+    return _at_points(k2_functional_samples, couple, f, x)
 
 
 @dataclass(frozen=True)
@@ -325,21 +396,29 @@ class Report:
         }
 
 
-def symmetry_check(couple: HilbertCouple, f, x: float) -> Report:
-    """Check K(x, f, Y, X) = x * K(1/x, f, X, Y) on the swapped couple."""
-    if x <= 0.0:
+def symmetry_check(couple: HilbertCouple, f, x) -> Report:
+    """Check K(x, f, Y, X) = x * K(1/x, f, X, Y) on the swapped couple.
+
+    With lane axes, x holds one point per lane, and lhs, rhs, ratio and
+    holds are arrays over the lanes.
+    """
+    if np.any(np.asarray(x) <= 0.0):
         raise ParameterError(f"x must be positive, got {x}")
     lhs = k_functional(couple.swapped(), f, x)
-    rhs = x * k_functional(couple, f, 1.0 / x)
-    scale = k_functional(couple, f, 1.0)  # = ||f||_{X+Y}
-    disc = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+    rhs = x * k_functional(couple, f, 1.0 / np.asarray(x, dtype=float))
+    scale = np.asarray(k_functional(couple, f, 1.0))  # = ||f||_{X+Y}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.where(scale > 0.0, np.abs(lhs - rhs) / scale, 0.0)
+    holds = disc <= 1e-9
+    if disc.ndim == 0:
+        disc, holds = float(disc), bool(holds)
     return Report(
         op="k_symmetry",
         inputs={"x": x},
         lhs=lhs,
         rhs=rhs,
         ratio=disc,
-        holds=disc <= 1e-9,
+        holds=holds,
         tolerance=1e-9,
     )
 
@@ -372,7 +451,7 @@ def _frontier_norms(mu, coords, s: float, p: float, variant: str) -> np.ndarray:
     out = np.zeros(c2.shape[1])
     live = np.any(c2 > 0.0, axis=0)
     c2 = c2[:, live]
-    lo, hi = _bracket(mu)
+    lo, hi = _bracket(np.max(mu), np.min(mu))
     u, step = np.linspace(lo, hi, int(math.ceil((hi - lo) / _STEP)) + 1, retstep=True)
 
     def log_profile(g2, h2, u):
@@ -382,7 +461,7 @@ def _frontier_norms(mu, coords, s: float, p: float, variant: str) -> np.ndarray:
             return 0.5 * np.log(k2_sq) - 0.5 * s * u
         return np.log(k2_sq) - 0.5 * np.log(g2) - s * (u + 0.5 * np.log(h2 / g2))
 
-    g2, h2, d = _frontier(mu, c2[:, :, None], u)
+    g2, h2, d = _frontier(mu[:, None], c2[:, :, None], u)
     profile = log_profile(g2, h2, u)
     if variant == "K":
         # the corners x ||f||_Y at x = 1/R(0) and ||f||_X at x = 1/R(inf)
@@ -398,12 +477,12 @@ def _frontier_norms(mu, coords, s: float, p: float, variant: str) -> np.ndarray:
         j = np.clip(np.argmax(profile, axis=1), 1, u.size - 2)
 
         def s_minus_h(v):
-            g2, h2, d = _frontier(mu, c2, v)
+            g2, h2, d = _frontier(mu[:, None], c2, v)
             h = 1.0 / (1.0 + g2 * np.exp(-v) / h2)
             return s - h, h * (1.0 - h) * (1.0 - 2.0 * d)
 
         v = _solve(s_minus_h, u[j], u[j - 1], u[j + 1])
-        g2, h2, _ = _frontier(mu, c2, v)
+        g2, h2, _ = _frontier(mu[:, None], c2, v)
         out[live] = np.exp(np.maximum(top, log_profile(g2, h2, v)))
         return out
 
@@ -460,8 +539,12 @@ def operator_norm(t_mat, domain_gram, codomain_gram) -> float:
         raise DimensionError("Gram shapes do not match the operator")
     quad = t_mat.T @ codomain_gram @ t_mat
     quad = 0.5 * (quad + quad.T)
-    top = scipy.linalg.eigh(quad, domain_gram, subset_by_index=[cols - 1, cols - 1])[0][0]
-    return math.sqrt(max(float(top), 0.0))
+    top = scipy.linalg.eigh(quad, domain_gram, subset_by_index=[cols - 1, cols - 1])[0]
+    if not top.size:
+        # the subset driver returns nothing when its bisection cannot split a
+        # multiple top eigenvalue (T = 2.5 I on one couple); the full solve can
+        top = scipy.linalg.eigh(quad, domain_gram, eigvals_only=True)[-1:]
+    return math.sqrt(max(float(top[0]), 0.0))
 
 
 def interpolation_gram(couple: HilbertCouple, s: float) -> np.ndarray:

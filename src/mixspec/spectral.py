@@ -558,5 +558,4 @@ def verify_brezis_inequality(mesh: Mesh1D, s: float, trials: int, *, rng=None) -
         "n": mesh.n,
         "trials": trials,
         "max_ratio": max_ratio,
-        "c_h_reference": embedding_constant(pencil),
     }

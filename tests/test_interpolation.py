@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,12 @@ from mixspec import (
     spectral_s_norm,
     symmetry_check,
 )
-from mixspec.interpolation import KFunctionalCurve, k_functional_samples
+from mixspec.interpolation import (
+    KFunctionalCurve,
+    k2_functional_samples,
+    k_functional_samples,
+    stack_couples,
+)
 from mixspec.reference import k_functional_grid_search, operator_norm_power_iteration
 
 
@@ -171,6 +177,91 @@ class TestSymmetry:
         couple = couple_from_grams(np.eye(3), np.eye(3))
         rep = symmetry_check(couple, np.zeros(3), 2.0)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
+
+
+@st.composite
+def lane_cases(draw):
+    """Couples of dimension 1 to 8, some diagonal with zeros in f, and three x per lane.
+
+    A diagonal couple's modes are coordinate axes, so a zero in f is an exact
+    zero mode coordinate: a dead mode inside a lane, besides the padding.
+    The x are far below the frontier, inside it and far above it.
+    """
+    cases = []
+    for _ in range(draw(st.integers(2, 6))):
+        dim = draw(st.integers(1, 8))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if draw(st.booleans()):
+            couple = couple_from_grams(np.diag(np.exp(rng.uniform(-2.0, 2.0, dim))),
+                                       np.diag(np.exp(rng.uniform(-2.0, 2.0, dim))))
+            f = rng.standard_normal(dim) * (rng.random(dim) < 0.6)
+        else:
+            couple = random_couple(dim, rng)
+            f = rng.standard_normal(dim)
+        c2 = couple.coords(f) ** 2
+        live = c2 > 0.0
+        x_lo = x_hi = 1.0
+        if live.any():
+            mu, c2 = couple.mu[live], c2[live]
+            x_lo = math.sqrt(np.sum(mu * c2) / np.sum(mu * mu * c2))
+            x_hi = math.sqrt(np.sum(c2 / mu) / np.sum(c2))
+        cases.append((couple, f, np.array([1e-3 * x_lo, math.sqrt(x_lo * x_hi), 1e3 * x_hi])))
+    return cases
+
+
+class TestLanes:
+    """The lane-batched kernel against the single couple, lane by lane."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lane_cases())
+    def test_batch_matches_one_lane(self, cases):
+        batch = stack_couples([couple for couple, _, _ in cases])
+        f = np.zeros(batch.mu.shape)
+        for lane, (couple, g, _) in enumerate(cases):
+            f[lane, :couple.dim] = g
+        xs = np.array([x for _, _, x in cases])
+        k = k_functional_samples(batch, f, xs)
+        k2 = k2_functional_samples(batch, f, xs)
+        reps = [symmetry_check(batch, f, xs[:, j]) for j in range(3)]
+        for lane, (couple, g, x) in enumerate(cases):
+            np.testing.assert_allclose(k[lane], k_functional_samples(couple, g, x), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(k2[lane], k2_functional_samples(couple, g, x), rtol=1e-12, atol=0)
+            for j, rep in enumerate(reps):
+                one = symmetry_check(couple, g, float(x[j]))
+                np.testing.assert_allclose([rep.lhs[lane], rep.rhs[lane]], [one.lhs, one.rhs],
+                                           rtol=1e-12, atol=0)
+                assert rep.holds[lane] == one.holds
+
+    def test_stacked_grams_match_single_couples(self):
+        rng = np.random.default_rng(12)
+        g_x = np.array([random_spd(4, rng) for _ in range(5)])
+        g_y = np.array([random_spd(4, rng) for _ in range(5)])
+        stacked = couple_from_grams(g_x, g_y)
+        assert stacked.mu.shape == (5, 4) and stacked.residual.shape == (5,)
+        for lane in range(5):
+            one = couple_from_grams(g_x[lane], g_y[lane])
+            np.testing.assert_array_equal(stacked.mu[lane], one.mu)
+            np.testing.assert_array_equal(stacked.basis[lane], one.basis)
+
+    def test_stacked_grams_fail_as_a_whole(self):
+        g_x = np.array([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(CoupleError, match="^G_X is not positive definite$"):
+            couple_from_grams(g_x, np.array([np.eye(2), np.eye(2)]))
+        with pytest.raises(CoupleError, match="^G_Y is not symmetric$"):
+            couple_from_grams(np.array([np.eye(2)] * 2),
+                              np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]))
+
+    def test_padding_keeps_norms(self):
+        rng = np.random.default_rng(6)
+        small, large = random_couple(2, rng), random_couple(5, rng)
+        batch = stack_couples([small, large])
+        f = rng.standard_normal(2)
+        padded = np.zeros((2, 5))
+        padded[0, :2] = f
+        c = batch.coords(padded)[0]
+        np.testing.assert_array_equal(c[2:], 0.0)
+        assert k_functional(batch, padded, 0.3)[0] == pytest.approx(k_functional(small, f, 0.3),
+                                                                   rel=1e-14)
 
 
 class TestInterpolationNorm:
@@ -349,6 +440,17 @@ class TestOperatorNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             operator_norm(np.ones((3, 2)), np.eye(3), np.eye(3))
+
+    def test_multiple_top_eigenvalue(self):
+        # T = 2.5 I: every eigenvalue of the pencil is 6.25, and for this Gram
+        # the subset driver of the eigensolve returns none of them
+        g = random_spd(5, np.random.default_rng(20))
+        g = 0.5 * (g + g.T)
+        t_mat = 2.5 * np.eye(5)
+        quad = t_mat.T @ g @ t_mat
+        quad = 0.5 * (quad + quad.T)
+        assert scipy.linalg.eigh(quad, g, subset_by_index=[4, 4])[0].size == 0
+        assert operator_norm(t_mat, g, g) == pytest.approx(2.5, rel=1e-12)
 
 
 class TestOperatorInterpolation:
