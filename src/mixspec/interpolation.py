@@ -313,7 +313,11 @@ def _at_points(samples, couple, f, x):
 
 
 def k_functional(couple: HilbertCouple, f, x):
-    """Peetre K-functional K(x, f) = inf_{f=g+h} ||g||_X + x ||h||_Y."""
+    """Peetre K-functional K(x, f) = inf_{f=g+h} ||g||_X + x ||h||_Y.
+
+    With lane axes, x is one point for every lane or one point per lane,
+    and K comes back per lane.
+    """
     return _at_points(k_functional_samples, couple, f, x)
 
 

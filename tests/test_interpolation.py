@@ -251,7 +251,7 @@ class TestLanes:
             couple_from_grams(np.array([np.eye(2)] * 2),
                               np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]))
 
-    def test_padding_keeps_norms(self):
+    def test_padding_keeps_coordinates_and_k(self):
         rng = np.random.default_rng(6)
         small, large = random_couple(2, rng), random_couple(5, rng)
         batch = stack_couples([small, large])
