@@ -456,11 +456,8 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         return _COMMANDS[args.command](cfg)
     except MixSpecError as exc:
-        if isinstance(exc, AccuracyError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
+        return EXIT_FAILURE if isinstance(exc, AccuracyError) else EXIT_PARAMETER
     except OSError as exc:
         print(f"error: {exc.filename or ''}: {exc}", file=sys.stderr)
         return EXIT_FAILURE

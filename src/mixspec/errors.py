@@ -50,11 +50,4 @@ class RequestError(MixSpecError, ValueError):
 
 
 class AccuracyError(MixSpecError, RuntimeError):
-    """Raised when a numerical target accuracy is not met.
-
-    The ``achieved`` attribute carries the best error estimate obtained.
-    """
-
-    def __init__(self, msg, achieved=None):
-        super().__init__(msg)
-        self.achieved = achieved
+    """Raised when a numerical target accuracy is not met."""

@@ -11,20 +11,26 @@ assembled as dense symmetric matrices:
                               |x-y|^(-1-2s) dx dy     over the whole plane
 
 The fractional form uses the raw kernel |x-y|^(-1-2s) without any
-normalizing constant.
+normalizing constant, as in Di Nezza, Palatucci and Valdinoci,
+"Hitchhiker's guide to the fractional Sobolev spaces" (2012).
 
-Assembly of the fractional matrix exploits translation invariance: with
-phi the unit hat and rho = phi (*) phi its autocorrelation (the centered
-cubic B-spline), the entry for node offset d reduces to
+The fractional matrix is Toeplitz and its column is known in closed form.
+With p = 3 - 2s and Delta^4 the central fourth difference in d, the entry
+for node offset d is h^(1-2s) I_d with
 
-    F_ij = h^(1-2s) * 2 * int_0^inf t^(-1-2s) [2 rho(d) - rho(d+t) - rho(d-t)] dt.
+    I_d = Delta^4 |d|^p / (s (1-2s) (2-2s) (3-2s))
+        = -2 Delta^4 |d|^p / (p (p-1) (p-2) (p-3)).
 
-The integrand is piecewise cubic with integer breakpoints, vanishes to
-second order at t = 0, and is constant 2*rho(d) past t = d+2, so the
-integral splits into one exact power-law piece at the singularity, a few
-Gauss-Legendre pieces on unit intervals, and an exact tail.  All offsets
-are integrated in one vectorised pass; that first column alone fixes the
-matrix, which is Toeplitz by construction and bit-reproducible.
+Delta^4 annihilates cubics, and three forms use that to avoid cancellation:
+
+* d <= 1: |x|^p is replaced by (|x|^p - x^2)/(p-2) = x^2 log|x| exprel((p-2)
+  log|x|), which has no pole at s = 1/2;
+* d = 2: the stencil 0..4 is >= 0, so x^q with q the integer nearest p is
+  subtracted instead: (x^p - x^q)/(p-q) = x^q log x exprel((p-q) log x);
+* d >= 3: the binomial series of (d+k)^p, of which Delta^4 keeps the even
+  powers m >= 4: I_d = -2 d^(p-4) sum_m [prod_{4<=j<m} (p-j) / m!]
+  (2^(m+1) - 8) d^(4-m).  The four factors of the denominator cancel, every
+  term is positive, and the sum stops once a term drops below eps.
 
 All returned objects are immutable after construction and safe to share
 across threads.
@@ -38,9 +44,9 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.special import exprel
 
 from .errors import (
-    AccuracyError,
     DimensionError,
     DomainError,
     MeasureError,
@@ -63,7 +69,6 @@ __all__ = [
     "nodal_weights",
     "check_lebesgue_interpolation",
     "LebesgueReport",
-    "hat_autocorrelation",
 ]
 
 
@@ -190,76 +195,45 @@ def _tridiag(n: int, diag: float, off: float) -> np.ndarray:
 # Fractional stiffness
 # ----------------------------------------------------------------------------
 
-def hat_autocorrelation(x):
-    """Autocorrelation rho(x) = int phi(u) phi(u - x) du of the unit hat.
+def _scaled_column(n: int, s: float) -> np.ndarray:
+    """Scaled entries I_d (h = 1) for offsets d = 0 .. n-1, in closed form."""
+    # p - j for j = 0..3, formed from s so that none loses digits near 0
+    pj = np.array([3.0, 2.0, 1.0, 0.0]) - 2.0 * s
+    x = np.array([2.0, 3.0, 4.0])
+    lx = np.log(x)
 
-    Equals the centered cubic B-spline: supported on [-2, 2], C^2, with
-    rho(0) = 2/3 and rho(1) = 1/6.
-    """
-    ax = np.abs(np.asarray(x, dtype=float))
-    out = np.zeros_like(ax)
-    inner = ax <= 1.0
-    outer = (ax > 1.0) & (ax < 2.0)
-    out[inner] = 2.0 / 3.0 - ax[inner] ** 2 + 0.5 * ax[inner] ** 3
-    out[outer] = (2.0 - ax[outer]) ** 3 / 6.0
-    return out
+    def near(q):
+        # Delta^4 at d = 0, 1, 2 of (x^p - x^q)/(p-q), which vanishes at x = 0, 1
+        g = x**q * lx * exprel(pj[q] * lx)
+        diffs = np.array([2.0 * g[0], g[1] - 4.0 * g[0], 6.0 * g[0] - 4.0 * g[1] + g[2]])
+        return diffs * (-2.0 / np.prod(np.delete(pj, q)))
 
+    head = near(2)
+    head[2] = near(round(pj[0]))[2]
 
-# Cubic coefficients (c2, c3) of 2*rho(d) - rho(d+t) - rho(d-t) on t in [0, 1], d <= 2.
-# The constant and linear terms vanish because rho is C^2 and even about d.
-_NEAR_ZERO_COEFFS = np.array([[2.0, -1.0], [-1.0, 2.0 / 3.0], [0.0, -1.0 / 6.0]])
-
-
-def _offset_integrals(n_offsets: int, s: float, quad_order: int) -> np.ndarray:
-    """Scaled entries I_d (h = 1) for offsets d = 0 .. n_offsets-1.
-
-    I_d = 2 * int_0^inf t^(-1-2s) * [2 rho(d) - rho(d+t) - rho(d-t)] dt.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    # map to [0, 1]
-    nodes01 = 0.5 * (nodes + 1.0)
-    weights01 = 0.5 * weights
-
-    # axes: (offset d, unit piece k = d-2 .. d+1, Gauss node)
-    d = np.arange(n_offsets, dtype=float)[:, None, None]
-    rho_d = np.where(d == 0, 2.0 / 3.0, np.where(d == 1, 1.0 / 6.0, 0.0))
-    # pieces [k, k+1] for k >= 1: single cubic times analytic kernel
-    k = d + np.arange(-2.0, 2.0)[:, None]
-    t = np.maximum(k, 1.0) + nodes01
-    g = 2.0 * rho_d - hat_autocorrelation(d + t) - hat_autocorrelation(d - t)
-    total = np.where(k >= 1.0, g * t ** (-1.0 - 2.0 * s), 0.0).sum(axis=1) @ weights01
-    # piece [0, 1]: integrand is c2*t^(1-2s) + c3*t^(2-2s), exact integral
-    near = min(n_offsets, 3)
-    total[:near] += _NEAR_ZERO_COEFFS[:near] @ [1.0 / (2.0 - 2.0 * s), 1.0 / (3.0 - 2.0 * s)]
-    # beyond t = d+2 the bracket is the constant 2*rho(d)
-    total += (2.0 * rho_d * (d + 2.0) ** (-2.0 * s) / (2.0 * s)).ravel()
-    return 2.0 * total
+    # series coefficients in d^-2, taken until the term at d = 3 (the slowest
+    # to converge, and every term is positive) drops below eps of the sum
+    coefs, c, m, term, total = [1.0], 1.0 / 24.0, 4, 1.0, 1.0
+    while term > np.finfo(float).eps * total:
+        c *= ((3.0 - m) - 2.0 * s) * ((2.0 - m) - 2.0 * s) / ((m + 1) * (m + 2))
+        m += 2
+        coefs.append(c * (2.0 ** (m + 1) - 8.0))
+        term = coefs[-1] / 9.0 ** (len(coefs) - 1)
+        total += term
+    d = np.arange(3.0, n)
+    tail = -2.0 * d ** (-1.0 - 2.0 * s) * np.polynomial.polynomial.polyval(d**-2.0, coefs)
+    return np.concatenate((head, tail))[:n]
 
 
-def assemble_fractional_stiffness(
-    mesh: Mesh1D, s: float, *, quad_order: int = 32, rtol: float = 1e-8
-) -> OperatorMatrix:
+def assemble_fractional_stiffness(mesh: Mesh1D, s: float) -> OperatorMatrix:
     """Fractional stiffness matrix for the zero-extended hat basis.
 
-    Entries depend on the node offset only (Toeplitz); each offset integral
-    is evaluated once at ``quad_order`` and once at a higher order, and the
-    disagreement is the per-entry error estimate checked against ``rtol``.
+    Entries depend on the node offset only (Toeplitz); the column is the
+    closed form of the module docstring, scaled by h^(1-2s).
     """
     if not (0.0 < s < 1.0):
         raise ParameterError(f"fractional order s must lie in (0, 1), got {s}")
-    if quad_order < 1:
-        raise ParameterError(f"quad_order must be >= 1, got {quad_order}")
-    vals = _offset_integrals(mesh.n, s, quad_order)
-    ref = _offset_integrals(mesh.n, s, quad_order + 16)
-    scale = np.max(np.abs(ref))
-    err = float(np.max(np.abs(vals - ref))) / scale
-    if err > rtol:
-        raise AccuracyError(
-            f"fractional assembly did not converge to rtol={rtol:g} "
-            f"(achieved {err:.3e}) at quad_order={quad_order}",
-            achieved=err,
-        )
-    column = mesh.h ** (1.0 - 2.0 * s) * ref
+    column = mesh.h ** (1.0 - 2.0 * s) * _scaled_column(mesh.n, s)
     data = toeplitz(column)
     return OperatorMatrix(kind=Kind.FRACTIONAL_STIFFNESS, data=data, mesh=mesh, s=float(s))
 

@@ -50,12 +50,17 @@ def gagliardo_form_quadrature(mesh, u_coeffs, v_coeffs, s, *, n_gauss=16, depth=
 
     Cell pairs touching the diagonal are covered by a dyadic sequence of
     bands (squares, for corner contact) shrinking geometrically toward the
-    singular set, each integrated with tensor Gauss; the truncated sliver is
-    smaller than ~1e-11 of the result by choice of the depth.
+    singular set, each integrated with tensor Gauss.  The truncated sliver
+    is about 2^(-depth (2-2s)) of the result, below ~1e-11 at the default
+    depth.  The depth is capped where the smallest band, h 2^-depth, would
+    stop being a normal float (about 1020 levels for h near 1), so past
+    s ~ 0.98 the sliver grows: at n = 3 the result is off by 6e-10 at
+    s = 0.985, 7e-7 at s = 0.99 and 9e-4 at s = 0.995.
     """
     a, b, h, n = mesh.a, mesh.b, mesh.h, mesh.n
     if depth is None:
         depth = max(40, math.ceil(37.0 / (2.0 - 2.0 * s)))
+    depth = min(depth, math.frexp(h)[1] + 1021)
     nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
 
     ul, ur = _cell_values(mesh, u_coeffs)
@@ -108,7 +113,8 @@ def _diagonal_cell(su, sv, h, s, depth, nodes, weights):
     t = x - y in (h 2^(-l-1), h 2^(-l)], each mapped to a rectangle in
     (t, eta) with y = left + eta (h - t).  Within one cell both functions
     are linear, so the differences are evaluated as slope * t, which stays
-    exact long after x and y become indistinguishable as floats.
+    exact long after x and y become indistinguishable as floats; the powers
+    of t are combined so that no factor overflows.
     """
     if su == 0.0 or sv == 0.0:
         return 0.0
@@ -120,7 +126,7 @@ def _diagonal_cell(su, sv, h, s, depth, nodes, weights):
         lo = 0.5 * hi
         t = lo + (hi - lo) * nodes01
         span = h - t
-        vals = (su * t) * (sv * t) * t ** (-1.0 - 2.0 * s) * span
+        vals = su * sv * t ** (1.0 - 2.0 * s) * span
         # the eta direction integrates a constant profile to exactly 1
         total += (hi - lo) * float(w01 @ vals)
         hi = lo
@@ -140,9 +146,8 @@ def _corner_cells(su_pair, sv_pair, h, s, depth, nodes, weights):
     sv_l, sv_r = sv_pair
 
     def local(dx, dy):
-        du = su_l * dx - su_r * dy
-        dv = sv_l * dx - sv_r * dy
-        return du * dv * (dy - dx) ** (-1.0 - 2.0 * s)
+        r = dy - dx
+        return (su_l * dx - su_r * dy) / r * ((sv_l * dx - sv_r * dy) / r) * r ** (1.0 - 2.0 * s)
 
     total = 0.0
     w = h

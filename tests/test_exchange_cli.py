@@ -337,6 +337,13 @@ class TestNumericFlagFuzz:
         self._run(["sweep", "--n", "3", "--k", "2", "--alpha-range", lo, hi, count,
                    "--domain", a, "1", "--out", str(tmp_path)], capsys)
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(s=st.one_of(NUMBER, st.floats(0.0, 1.0).map(repr)))
+    def test_assemble(self, tmp_path, capsys, s):
+        # the float draws reach s near 0 and 1, subnormal s included
+        self._run(["assemble", "--n", "3", "--s", s, "--out", str(tmp_path)], capsys)
+
 
 class TestCliKfunc:
     def test_builtin_couple_report(self, tmp_path):
