@@ -60,6 +60,7 @@ def gagliardo_form_quadrature(mesh, u_coeffs, v_coeffs, s, *, n_gauss=16, depth=
     a, b, h, n = mesh.a, mesh.b, mesh.h, mesh.n
     if depth is None:
         depth = max(40, math.ceil(37.0 / (2.0 - 2.0 * s)))
+    # h >= 2^(e-1) for e = frexp(h)[1], so h 2^-depth >= 2^-1022, the smallest normal
     depth = min(depth, math.frexp(h)[1] + 1021)
     nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
 
