@@ -142,15 +142,17 @@ class TestFractionalStiffness:
             assert min_eig >= -1e-10 * np.max(np.abs(mat))
 
     @pytest.mark.parametrize("s", [0.1, 0.3, 0.7, 0.9])
-    def test_closed_form_symbol(self, s):
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_closed_form_symbol(self, s, n):
         # I_d = -2 Gamma(-2s)/Gamma(4-2s) * delta^4 |d|^(3-2s), delta^4 the fourth
         # central difference; kept to small d and s away from 1/2, where the
-        # formula cancels or needs its log limit.
+        # formula cancels or needs its log limit. The leading entries of a
+        # column of any length n must match.
         d = np.arange(17, dtype=float)
         power = lambda x: np.abs(x) ** (3.0 - 2.0 * s)
         delta4 = power(d - 2) - 4 * power(d - 1) + 6 * power(d) - 4 * power(d + 1) + power(d + 2)
         closed = -2.0 * gamma_fn(-2.0 * s) / gamma_fn(4.0 - 2.0 * s) * delta4
-        np.testing.assert_allclose(_scaled_column(17, s), closed, rtol=1e-9)
+        np.testing.assert_allclose(_scaled_column(n, s)[:17], closed, rtol=1e-9)
 
     # 50-digit arbiter of I_d = Delta^4 |d|^p / (s (1-2s) (2-2s) (3-2s)), p = 3 - 2s.
     # The bound was fixed before the first run: the worst cancellation is at
