@@ -229,11 +229,17 @@ def assemble_fractional_stiffness(mesh: Mesh1D, s: float) -> OperatorMatrix:
     """Fractional stiffness matrix for the zero-extended hat basis.
 
     Entries depend on the node offset only (Toeplitz); the column is the
-    closed form of the module docstring, scaled by h^(1-2s).
+    closed form of the module docstring, scaled by h^(1-2s).  Its entries
+    grow like 1/s and like h^(1-2s), and a column that overflows (subnormal
+    s, or s near 1 on a subnormal h) is refused with ParameterError.
     """
     if not (0.0 < s < 1.0):
         raise ParameterError(f"fractional order s must lie in (0, 1), got {s}")
-    column = mesh.h ** (1.0 - 2.0 * s) * _scaled_column(mesh.n, s)
+    # the d = 2 form discarded for q = 2 (and an overflowing column) would warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        column = np.float64(mesh.h) ** (1.0 - 2.0 * s) * _scaled_column(mesh.n, s)
+    if not np.isfinite(column).all():
+        raise ParameterError(f"fractional stiffness column overflows at s={s:g}, h={mesh.h:g}")
     data = toeplitz(column)
     return OperatorMatrix(kind=Kind.FRACTIONAL_STIFFNESS, data=data, mesh=mesh, s=float(s))
 

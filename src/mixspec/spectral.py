@@ -1,43 +1,67 @@
 """Spectrum of the mixed pencil (A_loc + alpha*A_frac, M) for any real alpha.
 
 M is symmetric positive definite, so (A_alpha, M) is a symmetric-definite
-pencil for every real alpha and LAPACK solves it directly.  The paper's
-proof device, the minimal shift gamma >= 0 making
+pencil for every real alpha.  On the uniform P1 mesh the orthonormal DST-I
+S (``scipy.fft.dst(type=1, norm="ortho")``, its own inverse) diagonalises
+both local forms exactly: with theta_j = j pi/(n+1),
+
+    M = S diag(m) S,       m_j = h (2 + cos theta_j)/3,
+    A_loc = S diag(l) S,   l_j = (2/h) (1 - cos theta_j).
+
+With D = diag(m)^(-1/2) and B = D S A_frac S D, which two DSTs of A_frac
+give, the pencil is congruent to the standard symmetric matrix
+
+    E_alpha = diag(l/m) + alpha B,
+
+with the same eigenvalues; an eigenvector y of E_alpha gives the pencil's
+S D y, M-orthonormal when y is orthonormal.  B is built once per assembled
+(mesh, s), on the first solve, and every ``with_alpha`` coupling shares it.
+Every eigensolve of this module is a standard one on such a matrix.
+
+The paper's proof device, the minimal shift gamma >= 0 making
 
     A_alpha + gamma M - (1/2) A_loc  positive semidefinite,
 
 the discrete sharp version of the coercivity estimate
 B(u, u) + gamma ||u||^2 >= (1/2) ||u||_H^2, is reported with each
-spectrum.  Its exact zero is certified by one Cholesky attempt of
-A_alpha - A_loc/2 (Sylvester inertia; it succeeds for every alpha >= 0);
-only when that fails is gamma the top eigenvalue of (A_loc/2 - A_alpha, M),
-and verify checks both routes against each other.  The resolvent
-identity lambda_k = 1/mu_k - gamma, with mu_k the eigenvalues of
+spectrum.  Since A_alpha - A_loc/2 = A_(2 alpha)/2, gamma is
+max(0, -lambda_1(2 alpha)/2).  Its exact zero is certified by one Cholesky
+attempt of A_alpha - A_loc/2 (Sylvester inertia; it succeeds for every
+alpha >= 0); only when that fails is lambda_1 of E_(2 alpha)/2 =
+diag(l/m)/2 + alpha B computed, and verify checks both against a dense
+eigensolve of (A_loc/2 - A_alpha, M).  The resolvent identity
+lambda_k = 1/mu_k - gamma, with mu_k the eigenvalues of
 (A_alpha + gamma M)^{-1} M, is a check in the tests and the verify suite,
 not the solver.
 
-That lambda_1..lambda_k are the k smallest eigenvalues, the min-max
-characterization, is certified by Sylvester inertia (``certify_spectrum``):
-a Cholesky factor just below lambda_1 and a Bunch-Kaufman LDL^T count just
-above lambda_k prove it for every direction at once.  The sampled
-Rayleigh-quotient check ``verify_variational_characterization`` stays as
-the independent randomized route of the tests and the verify suite.
-``check_contract`` is the one statement of the spectrum contract, with its
-tolerances; the CLI and the verify suite only read its flags.
+Every result is checked in the original basis, by a route independent of
+the solve: residuals, orthonormality and the certificate use the dense
+A_alpha and M.  That lambda_1..lambda_k are the k smallest eigenvalues,
+the min-max characterization, is certified by Sylvester inertia
+(``certify_spectrum``): a Cholesky factor just below lambda_1 and a
+Bunch-Kaufman LDL^T count just above lambda_k prove it for every direction
+at once.  The sampled Rayleigh-quotient check
+``verify_variational_characterization`` stays as the independent randomized
+route of the tests and the verify suite.  ``check_contract`` is the one
+statement of the spectrum contract, with its tolerances; the CLI and the
+verify suite only read its flags.
 
 The coupling threshold where lambda_1 changes sign is exactly
 alpha* = -1/C_h, with C_h the largest eigenvalue of (A_frac, A_loc): the
-discrete embedding constant.  ``locate_threshold`` recovers it by bisection
-on Sylvester inertia (lambda_1 > 0 iff A_alpha has a Cholesky factor) as
-an end-to-end consistency check.
+discrete embedding constant, the top eigenvalue of
+diag(l/m)^(-1/2) B diag(l/m)^(-1/2).  ``locate_threshold`` checks it by
+bisection on Sylvester inertia (lambda_1 > 0 iff A_alpha has a Cholesky
+factor), started from the certified bracket -(1 +- THRESHOLD_RTOL)/C_h.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
@@ -53,6 +77,7 @@ from .fem import (
 
 __all__ = [
     "MixedPencil",
+    "SineBasis",
     "SpectrumResult",
     "SweepTable",
     "assemble_pencil",
@@ -76,9 +101,66 @@ THRESHOLD_RTOL = 1e-8  # |alpha* + 1/C_h| C_h
 _BISECTION_RTOL = 1e-9  # final bracket width times C_h
 
 
+class SineBasis:
+    """The pencil's forms in the DST-I basis of the uniform mesh.
+
+    ``scale`` is D = diag(m)^(-1/2), ``ratio`` is l/m (module docstring) and
+    ``weight`` is diag(l/m)^(-1/2); all three are closed forms, with
+    1 - cos theta taken as 2 sin^2(theta/2) so that no digit cancels.
+    ``fractional`` is B = D S A_frac S D, built on first use: callers that
+    never solve, such as the Cholesky steps of the threshold, never pay its
+    two DSTs.
+    """
+
+    def __init__(self, mesh: Mesh1D, a_frac: OperatorMatrix):
+        n, h = mesh.n, mesh.h
+        theta = np.arange(1, n + 1) * (math.pi / (n + 1))
+        # only on meshes whose eigenvalues leave the float range can m round to
+        # 0 or l/m overflow; the eigensolve finds that in its matrix and raises
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mass = h * (2.0 + np.cos(theta)) / 3.0
+            local = (4.0 / h) * np.sin(0.5 * theta) ** 2
+            self.ratio = local / mass
+            self.scale = 1.0 / np.sqrt(mass)
+            self.weight = np.sqrt(mass) / np.sqrt(local)
+        for array in (self.scale, self.ratio, self.weight):
+            array.setflags(write=False)
+        self._a_frac = a_frac
+
+    @cached_property
+    def fractional(self) -> np.ndarray:
+        """B = D S A_frac S D, read-only."""
+        b = scipy.fft.dst(self._a_frac.data, type=1, norm="ortho", axis=0)
+        b = scipy.fft.dst(b, type=1, norm="ortho", axis=1, overwrite_x=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b *= self.scale[:, None]
+            b *= self.scale[None, :]
+        b.setflags(write=False)
+        return b
+
+    def coupled(self, alpha: float, diagonal: float = 1.0) -> np.ndarray:
+        """A new array diagonal * diag(l/m) + alpha B.
+
+        With ``diagonal`` 1 this is E_alpha, whose eigenvalues are the
+        pencil's.  Entries that overflow are left to the eigensolve to refuse.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = alpha * self.fractional
+            e.flat[:: e.shape[0] + 1] += diagonal * self.ratio
+        return e
+
+    def vectors(self, y: np.ndarray) -> np.ndarray:
+        """Eigenvectors S D y of the pencil from those of E_alpha, columnwise."""
+        return scipy.fft.dst(self.scale[:, None] * y, type=1, norm="ortho", axis=0)
+
+
 @dataclass(frozen=True)
 class MixedPencil:
-    """Matrices of the operator -u'' + alpha (-Delta)^s u on one mesh."""
+    """Matrices of the operator -u'' + alpha (-Delta)^s u on one mesh.
+
+    ``basis`` holds the same forms in the sine basis; every coupling made by
+    ``with_alpha`` shares it, and so shares its B.
+    """
 
     mesh: Mesh1D
     s: float
@@ -87,6 +169,7 @@ class MixedPencil:
     a_frac: OperatorMatrix
     mass: OperatorMatrix
     a_alpha: np.ndarray
+    basis: SineBasis = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.a_alpha.setflags(write=False)
@@ -106,6 +189,7 @@ class MixedPencil:
             a_frac=self.a_frac,
             mass=self.mass,
             a_alpha=_coupled(self.a_loc, self.a_frac, alpha),
+            basis=self.basis,
         )
 
 
@@ -139,6 +223,7 @@ def assemble_pencil(mesh: Mesh1D, s: float, alpha: float) -> MixedPencil:
         a_frac=a_frac,
         mass=mass,
         a_alpha=_coupled(a_loc, a_frac, alpha),
+        basis=SineBasis(mesh, a_frac),
     )
 
 
@@ -147,30 +232,39 @@ def embedding_constant(pencil: MixedPencil) -> float:
 
     This is the largest eigenvalue of the pencil (A_frac, A_loc); its
     reciprocal marks the coupling threshold -1/C_h for the sign of lambda_1.
+    In the sine basis it is the top eigenvalue of W B W, W = diag(l/m)^(-1/2).
     """
+    basis = pencil.basis
+    # B W first, so that a tiny weight never meets a tiny weight in one product
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = basis.fractional * basis.weight[None, :]
+        scaled *= basis.weight[:, None]
     n = pencil.n
-    top = _eigh_subset(pencil.a_frac.data, pencil.a_loc.data, n - 1, n - 1)[0][0]
-    return float(top)
+    top = float(_eigh_subset(scaled, n - 1, n - 1, eigvals_only=True, overwrite_a=True)[0])
+    # A_frac is PSD with a positive diagonal, so only an underflow gives top <= 0
+    if not top > 0.0:
+        raise AccuracyError(f"embedding constant {top:g} is not a positive float")
+    return top
 
 
 def gamma_shift(pencil: MixedPencil) -> float:
     """Minimal gamma >= 0 with A_alpha + gamma M - A_loc/2 >= 0.
 
-    gamma is max(0, largest eigenvalue of (A_loc/2 - A_alpha, M)).  When the
-    excess A_alpha - A_loc/2 has a Cholesky factor, Sylvester inertia makes
-    every eigenvalue of (excess, M) positive, so that maximum is negative and
-    gamma is exactly zero without an eigensolve.  This holds for every
-    alpha >= 0, where the fractional form is positive semidefinite.
-    Otherwise the excess is negated in place and the maximum computed by an
-    eigensolve.
+    gamma is max(0, -lambda_1 of the excess pencil (A_alpha - A_loc/2, M)).
+    When the excess has a Cholesky factor, Sylvester inertia makes every
+    eigenvalue of that pencil positive, so gamma is exactly zero without an
+    eigensolve.  This holds for every alpha >= 0, where the fractional form
+    is positive semidefinite.  Otherwise lambda_1 comes from the excess in
+    the sine basis, diag(l/m)/2 + alpha B = E_(2 alpha)/2.
     """
-    n = pencil.n
+    # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
     excess = pencil.a_alpha - 0.5 * pencil.a_loc.data
-    if _positive_definite(excess):
+    if _positive_definite(excess.T, overwrite=True):
         return 0.0
-    np.negative(excess, out=excess)
-    top = _eigh_subset(excess, pencil.mass.data, n - 1, n - 1, overwrite_a=True)[0][0]
-    return max(0.0, float(top))
+    del excess  # its n x n buffer is free before the reduced matrix is built
+    reduced = pencil.basis.coupled(pencil.alpha, 0.5)
+    lowest = _eigh_subset(reduced, 0, 0, eigvals_only=True, overwrite_a=True)[0]
+    return max(0.0, -float(lowest))
 
 
 def _positive_definite(matrix: np.ndarray, *, overwrite: bool = False) -> bool:
@@ -185,17 +279,29 @@ def _positive_definite(matrix: np.ndarray, *, overwrite: bool = False) -> bool:
     return True
 
 
-def _eigh_subset(a: np.ndarray, b: np.ndarray, lo: int, hi: int, **kwargs):
-    """Eigenpairs lo..hi (0-based) of the definite pencil (a, b), all of them or AccuracyError."""
+def _eigh_subset(a: np.ndarray, lo: int, hi: int, **kwargs):
+    """Eigenvalues lo..hi (0-based) of the symmetric matrix a, all of them or AccuracyError.
+
+    Returns what ``scipy.linalg.eigh`` returns: the values, or values and vectors.
+    A matrix with entries past the float range has eigenvalues there too and
+    is refused.  A C-ordered a goes in as its transpose, the same matrix in
+    Fortran order, so that with ``overwrite_a`` LAPACK works in it without a
+    copy.
+    """
+    if not np.isfinite(a).all():
+        raise AccuracyError("eigenvalues leave the floating-point range: the matrix is not finite")
+    if a.flags.c_contiguous:
+        a = a.T
     try:
-        lambdas, vectors = scipy.linalg.eigh(a, b, subset_by_index=[lo, hi], **kwargs)
+        found = scipy.linalg.eigh(a, subset_by_index=[lo, hi], check_finite=False, **kwargs)
     except scipy.linalg.LinAlgError as exc:
-        raise AccuracyError(f"generalized eigensolve failed: {exc}") from exc
+        raise AccuracyError(f"symmetric eigensolve failed: {exc}") from exc
+    lambdas = found if kwargs.get("eigvals_only") else found[0]
     if lambdas.size < hi - lo + 1:
         raise AccuracyError(
-            f"generalized eigensolve returned {lambdas.size} of {hi - lo + 1} eigenvalues"
+            f"symmetric eigensolve returned {lambdas.size} of {hi - lo + 1} eigenvalues"
         )
-    return lambdas, vectors
+    return found
 
 
 @dataclass(frozen=True)
@@ -227,27 +333,27 @@ class SpectrumResult:
 def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
     """First k eigenpairs of the definite pencil A_alpha u = lambda M u.
 
-    Solved directly by LAPACK's symmetric-definite solver for the k smallest
-    eigenvalues, whatever the sign of alpha.  gamma = gamma_shift(pencil) is
-    computed alongside and reported; the eigenvalues satisfy
-    lambda_1 > -gamma.  Eigenvectors are returned M-orthonormal with the
-    sign fixed so the entry of largest magnitude is positive.
+    The k smallest eigenpairs of the standard matrix E_alpha, whatever the
+    sign of alpha, mapped back by S D.  gamma = gamma_shift(pencil) is
+    computed alongside and reported.  Eigenvectors are returned
+    M-orthonormal with the sign fixed so the entry of largest magnitude is
+    positive.  Residuals are taken with the dense A_alpha and M.
     """
     n = pencil.n
     if not 1 <= k <= n:
         raise RequestError(f"requested {k} eigenpairs from an n={n} pencil")
     gamma = gamma_shift(pencil)
-    mass = pencil.mass.data
-    lambdas, vectors = _eigh_subset(pencil.a_alpha, mass, 0, k - 1)
+    reduced = pencil.basis.coupled(pencil.alpha)
+    lambdas, reduced_vectors = _eigh_subset(reduced, 0, k - 1, overwrite_a=True)
+    del reduced
+    vectors = pencil.basis.vectors(reduced_vectors)
     # sign convention: entry of largest magnitude positive
     lead = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[lead, np.arange(k)])
     signs[signs == 0.0] = 1.0
     vectors = vectors * signs[None, :]
 
-    residuals = np.linalg.norm(
-        pencil.a_alpha @ vectors - mass @ vectors * lambdas[None, :], axis=0
-    )
+    residuals = _column_norms(pencil.a_alpha @ vectors - pencil.mass.data @ vectors * lambdas)
     cluster_ids = np.zeros(k, dtype=int)
     for j in range(1, k):
         close = lambdas[j] - lambdas[j - 1] <= CLUSTER_RTOL * (1.0 + abs(lambdas[j]))
@@ -256,6 +362,16 @@ def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
         lambdas=lambdas, vectors=vectors, gamma=gamma, residuals=residuals,
         cluster_ids=cluster_ids,
     )
+
+
+def _column_norms(r: np.ndarray) -> np.ndarray:
+    """2-norms of the columns of r, scaled by powers of two so that no square overflows.
+
+    Power-of-two scaling is exact, so wherever the plain norm stays finite
+    it gives the same bits.
+    """
+    unit = np.ldexp(1.0, np.frexp(np.max(np.abs(r), axis=0))[1])
+    return unit * np.linalg.norm(r / unit, axis=0)
 
 
 def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
@@ -341,9 +457,20 @@ def check_contract(result: SpectrumResult, pencil: MixedPencil) -> dict:
     """The spectrum contract of one solve: its flags, their errors and ``holds``.
 
     max |V^T M V - I| <= 1e-8; off-diagonal of V^T A_alpha V <= 1e-6 times
-    its largest diagonal; residuals <= 1e-8 (1 + |lambda|); lambda_1 > -gamma;
+    its largest diagonal; residuals <= 1e-8 (1 + |lambda|); the lower bound;
     and ``variational`` (``certify_spectrum``).  ``holds`` is their conjunction.
+
+    The lower bound is exact: lambda_1 is a minimum of affine functions of
+    alpha, so it is concave, lambda_1(alpha) >= (lambda_1(0) + lambda_1(2 alpha))/2,
+    and with gamma = max(0, -lambda_1(2 alpha)/2) this gives
+    lambda_1 + gamma >= lambda_1^loc/2.  Here lambda_1^loc =
+    (6/h^2)(1 - cos t)/(2 + cos t), t = pi/(n+1), is the closed-form lowest
+    P1 eigenvalue; the flag allows 1e-8 (1 + |lambda_1|).
     """
+    h, t = pencil.mesh.h, math.pi / (pencil.n + 1)
+    # Python floats: an overflow gives inf, with no warning
+    local_1 = 12.0 * math.sin(0.5 * t) ** 2 / ((2.0 + math.cos(t)) * h) / h
+    lam_1 = float(result.lambdas[0])
     v = result.vectors
     m_err = float(np.max(np.abs(v.T @ pencil.mass.data @ v - np.eye(v.shape[1]))))
     b_mat = v.T @ pencil.a_alpha @ v
@@ -356,7 +483,8 @@ def check_contract(result: SpectrumResult, pencil: MixedPencil) -> dict:
         "b_orthogonality_holds": b_err <= 1e-6 * b_scale,
         "residuals_hold": bool(np.all(
             result.residuals <= 1e-8 * (1.0 + np.abs(result.lambdas)))),
-        "lower_bound_holds": bool(result.lambdas[0] > -result.gamma),
+        "lower_bound_holds": bool(
+            lam_1 + result.gamma >= 0.5 * local_1 - 1e-8 * (1.0 + abs(lam_1))),
         "variational": certify_spectrum(result, pencil),
     }
     contract["holds"] = (all(contract[key] for key in CONTRACT_FLAGS)
@@ -481,14 +609,25 @@ def _lambda_1_positive(pencil: MixedPencil) -> bool:
 def locate_threshold(mesh: Mesh1D, s: float) -> dict:
     """Bisect the sign change of lambda_1(alpha); it must land on -1/C_h.
 
-    Each step tests the sign by one Cholesky attempt of A_alpha (inertia).
+    Each step tests the sign by one Cholesky attempt of A_alpha (inertia);
+    lambda_1 never decreases in alpha (A_frac is PSD), so it changes sign
+    once.  The bisection starts from the certified bracket
+    -(1 +- THRESHOLD_RTOL)/C_h: when that straddles the sign change, the two
+    attempts already prove the flag, and about five more reach
+    _BISECTION_RTOL.  Otherwise the same loop starts from [-2/C_h, 0], and
+    RequestError is raised only when that fails too.
     ``holds`` is |alpha* + 1/C_h| C_h <= THRESHOLD_RTOL.
     """
     base = assemble_pencil(mesh, s, 0.0)
     c_h = embedding_constant(base)
-    lo, hi = -2.0 / c_h, 0.0
-    if _lambda_1_positive(base.with_alpha(lo)) or not _lambda_1_positive(base.with_alpha(hi)):
-        raise RequestError("bisection bracket does not straddle the sign change")
+    brackets = (((-1.0 - THRESHOLD_RTOL) / c_h, (-1.0 + THRESHOLD_RTOL) / c_h),
+                (-2.0 / c_h, 0.0))
+    for lo, hi in brackets:
+        if (not _lambda_1_positive(base.with_alpha(lo))
+                and _lambda_1_positive(base.with_alpha(hi))):
+            break
+    else:
+        raise RequestError("no bisection bracket straddles the sign change")
     while hi - lo > _BISECTION_RTOL / c_h:
         mid = 0.5 * (lo + hi)
         if _lambda_1_positive(base.with_alpha(mid)):

@@ -129,6 +129,15 @@ class TestCliAssemble:
         assert main(["assemble", "--s", "1.5", "--out", str(tmp_path)]) == 2
         assert main(["assemble", "--domain", "1", "0", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", ["1e-310", "5e-324"])
+    def test_subnormal_s_exit_2(self, tmp_path, capsys, s):
+        # the column would overflow to inf; it is refused before anything is written
+        assert main(["assemble", "--n", "3", "--s", s, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Warning" not in err
+        assert not (tmp_path / "fractional_stiffness.txt").exists()
+
     def test_usage_exit_64(self):
         with pytest.raises(SystemExit) as info:
             main(["assemble", "--no-such-flag"])
@@ -183,9 +192,20 @@ class TestCliSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_negative_alpha(self, tmp_path, capsys):
+        # lambda_1 ~ -6.4e301: the residual norms are taken scaled, and gamma
+        # cancels lambda_1 to within the lower bound's tolerance
+        code = main(["spectrum", "--n", "3", "--k", "2", "--alpha=-1e300",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "spectrum_report.json").read_text())
+        assert report["lower_bound_holds"] and report["residuals_hold"]
+
     def test_eigenvalues_out_of_range(self, tmp_path, capsys):
-        # on a 1e-300 long interval the eigenvalues (~1e602) overflow and
-        # LAPACK returns none of them
+        # on a 1e-300 long interval the eigenvalues (~1e602) overflow, and so
+        # does the diagonal l/m of the sine-basis matrix; the solve refuses it
         code = main(["spectrum", "--domain", "0", "1e-300", "--n", "5", "--alpha", "1",
                      "--k", "3", "--out", str(tmp_path)])
         assert code == 1

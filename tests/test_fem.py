@@ -191,6 +191,14 @@ class TestFractionalStiffness:
             with pytest.raises(ParameterError):
                 assemble_fractional_stiffness(mesh, s)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b, s", [(0.0, 1.0, 1e-310), (0.0, 1.0, 5e-324),
+                                         (0.0, 1e-310, 0.999)])
+    def test_overflowing_column_refused(self, a, b, s):
+        # entries grow like 1/s and like h^(1-2s); an infinite column is refused, silently
+        with pytest.raises(ParameterError):
+            assemble_fractional_stiffness(build_mesh(a, b, 3), s)
+
 
 # s anywhere in (0, 1), with extra weight near 0, 1/2 and 1
 ORDERS = st.one_of(

@@ -33,7 +33,7 @@ from mixspec import (
 )
 from mixspec import spectral
 from mixspec.cli import main
-from mixspec.spectral import _count_below, _lambda_1_positive
+from mixspec.spectral import THRESHOLD_RTOL, _count_below, _lambda_1_positive
 
 
 @pytest.fixture(scope="module")
@@ -144,8 +144,9 @@ class TestSolveSpectrum:
         assert res.lambdas[0] == pytest.approx(12.0, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    @pytest.mark.filterwarnings("error")
     def test_eigenvalues_out_of_range(self, alpha):
-        # eigenvalues ~1e602 overflow; LAPACK returns none of them
+        # eigenvalues ~1e602 overflow, and so does l/m; refused without a warning
         pencil = assemble_pencil(build_mesh(0.0, 1e-300, 5), 0.5, alpha)
         with pytest.raises(AccuracyError):
             solve_spectrum(pencil, 3)
@@ -190,6 +191,76 @@ class TestSolveSpectrum:
     def test_clusters_simple_spectrum(self, base63):
         res = solve_spectrum(base63, 5)
         assert res.clusters == [[1], [2], [3], [4], [5]]
+
+
+def _dst_matrix(n):
+    """The orthonormal DST-I as a dense matrix: sqrt(2/(n+1)) sin(i j pi/(n+1))."""
+    j = np.arange(1, n + 1)
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * math.pi / (n + 1))
+
+
+class TestSineBasis:
+    def test_reduction_against_dense_transform(self):
+        n = 40
+        pencil = assemble_pencil(build_mesh(0.0, 2.0, n), 0.3, 0.0)
+        s_mat = _dst_matrix(n)
+        basis = pencil.basis
+        mass = np.diag(basis.scale**-2)
+        np.testing.assert_allclose(s_mat @ mass @ s_mat, pencil.mass.data, atol=1e-15)
+        local = s_mat @ (mass * basis.ratio) @ s_mat
+        np.testing.assert_allclose(local, pencil.a_loc.data, atol=1e-12 * n)
+        dense_b = basis.scale[:, None] * (s_mat @ pencil.a_frac.data @ s_mat) * basis.scale
+        scale = np.max(np.abs(dense_b))
+        np.testing.assert_allclose(basis.fractional, dense_b, rtol=0, atol=1e-13 * scale)
+
+    def test_with_alpha_shares_b(self):
+        base = assemble_pencil(build_mesh(0.0, 1.0, 31), 0.5, 0.0)
+        coupled = base.with_alpha(-3.0)
+        assert coupled.basis is base.basis
+        # a coupling and its Cholesky step build nothing in the sine basis
+        _lambda_1_positive(coupled)
+        assert "fractional" not in base.basis.__dict__
+        solve_spectrum(coupled, 2)
+        b_mat = base.basis.fractional
+        assert coupled.basis.fractional is b_mat
+        assert base.with_alpha(7.0).basis.fractional is b_mat
+        assert not b_mat.flags.writeable
+
+    @pytest.mark.parametrize("n, k", [(63, 63), (511, 40)])
+    def test_alpha_zero_closed_form(self, n, k):
+        # E_0 = diag(l/m) exactly, so the P1 eigenvalues come out to rounding
+        h = 1.0 / (n + 1)
+        res = solve_spectrum(assemble_pencil(build_mesh(0.0, 1.0, n), 0.5, 0.0), k)
+        theta = np.arange(1, k + 1) * math.pi / (n + 1)
+        exact = 12.0 * np.sin(0.5 * theta) ** 2 / (h**2 * (2.0 + np.cos(theta)))
+        np.testing.assert_allclose(res.lambdas, exact, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=96),
+        s=st.floats(min_value=0.02, max_value=0.98),
+        alpha=st.floats(min_value=-50.0, max_value=50.0),
+        data=st.data(),
+    )
+    def test_matches_dense_generalized_solve(self, n, s, alpha, data):
+        k = data.draw(st.integers(min_value=1, max_value=min(n, 6)))
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, n), s, alpha)
+        mass = pencil.mass.data
+        res = solve_spectrum(pencil, k)
+        contract = check_contract(res, pencil)
+        assert contract["holds"]
+        dense = scipy.linalg.eigh(pencil.a_alpha, mass, eigvals_only=True)[:k]
+        margin = contract["variational"]["margin"]
+        tol = np.maximum(1e-10 * (1.0 + np.abs(dense)), margin)
+        assert np.all(np.abs(res.lambdas - dense) <= tol)
+        assert np.max(np.abs(res.vectors.T @ mass @ res.vectors - np.eye(k))) <= 1e-10
+        # gamma against the top eigenvalue of the negated excess pencil; where
+        # gamma leaves 0 the same rounding margin, for the excess, applies
+        excess = pencil.a_alpha - 0.5 * pencil.a_loc.data
+        top = scipy.linalg.eigh(-excess, mass, eigvals_only=True)[-1]
+        mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
+        excess_margin = n * np.finfo(float).eps * np.linalg.norm(excess, 1) / mass_min
+        assert res.gamma == pytest.approx(max(0.0, top), rel=1e-12, abs=excess_margin)
 
 
 class TestContinuumBaseline:
@@ -400,6 +471,18 @@ class TestSpectrumContract:
         assert contract["holds"] is True
         assert all(value is True for value in _contract_flags(contract).values())
 
+    def test_lower_bound_is_the_concavity_bound(self, base63):
+        # lambda_1 + gamma >= lambda_1^loc / 2 exactly; a gamma that leaves
+        # lambda_1 + gamma positive but below that bound fails the flag
+        res = solve_spectrum(base63.with_alpha(-20.0), 1)
+        assert check_contract(res, base63.with_alpha(-20.0))["lower_bound_holds"]
+        t = math.pi / 64
+        half_local = 3.0 * (1.0 - math.cos(t)) / (base63.mesh.h**2 * (2.0 + math.cos(t)))
+        short = dataclasses.replace(res, gamma=-float(res.lambdas[0]) + 0.5 * half_local)
+        contract = check_contract(short, base63.with_alpha(-20.0))
+        assert short.lambdas[0] > -short.gamma
+        assert contract["lower_bound_holds"] is False
+
     @pytest.mark.parametrize("flag", sorted(CONTRACT_MUTATIONS))
     def test_mutation_fails_one_flag(self, base63, flag):
         contract = check_contract(CONTRACT_MUTATIONS[flag](solve_spectrum(base63, 3)), base63)
@@ -456,6 +539,45 @@ class TestSweepAndThreshold:
         th = locate_threshold(base63.mesh, 0.5)
         assert th["holds"] is True
         assert th["relative_difference"] == abs(th["difference"]) * th["embedding_constant"]
+
+    @staticmethod
+    def _record_cholesky_steps(monkeypatch):
+        tested = []
+        positive = spectral._lambda_1_positive
+
+        def recording(pencil):
+            tested.append(pencil.alpha)
+            return positive(pencil)
+
+        monkeypatch.setattr(spectral, "_lambda_1_positive", recording)
+        return tested
+
+    def test_threshold_certified_bracket(self, base63, monkeypatch):
+        tested = self._record_cholesky_steps(monkeypatch)
+        th = locate_threshold(base63.mesh, 0.5)
+        c_h = th["embedding_constant"]
+        assert tested[:2] == [(-1.0 - THRESHOLD_RTOL) / c_h, (-1.0 + THRESHOLD_RTOL) / c_h]
+        assert len(tested) == 7
+        assert th["holds"] is True
+
+    def test_threshold_wide_bracket_fallback(self, base63, monkeypatch):
+        # C_h off by 1e-6: the certified bracket misses the sign change, the
+        # bisection goes on from [-2/C_h, 0] and the flag comes out false
+        expected = locate_threshold(base63.mesh, 0.5)
+        c_h = expected["embedding_constant"] * (1.0 + 1e-6)
+        monkeypatch.setattr(spectral, "embedding_constant", lambda pencil: c_h)
+        tested = self._record_cholesky_steps(monkeypatch)
+        th = locate_threshold(base63.mesh, 0.5)
+        # the lower end of the certified bracket already has lambda_1 > 0
+        assert tested[:3] == [(-1.0 - THRESHOLD_RTOL) / c_h, -2.0 / c_h, 0.0]
+        assert th["holds"] is False
+        assert th["relative_difference"] == pytest.approx(1e-6, rel=1e-2)
+        assert list(th) == list(expected)
+
+    def test_threshold_no_bracket(self, base63, monkeypatch):
+        monkeypatch.setattr(spectral, "_lambda_1_positive", lambda pencil: True)
+        with pytest.raises(RequestError):
+            locate_threshold(base63.mesh, 0.5)
 
 
 @pytest.fixture(scope="module")
