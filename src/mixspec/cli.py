@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
     p_spectrum.add_argument("--vectors", action="store_true", default=None,
                             help="also write one eigenvector file per k")
 
-    p_sweep = sub.add_parser("sweep", help="spectra over an alpha grid plus threshold bisection")
+    p_sweep = sub.add_parser("sweep", help="spectra over an alpha grid plus threshold certificate")
     add_shared(p_sweep)
 
     p_kfunc = sub.add_parser("kfunc", help="K-functional curve and interpolation norms")
@@ -181,6 +181,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ParameterError(f"domain must satisfy a < b, got {cfg['domain']}")
     if cfg["format"] not in ("csv", "json"):
         raise ParameterError(f"format must be csv or json, got {cfg['format']!r}")
+    if cfg["seed"] < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {cfg['seed']}")
     return cfg
 
 
@@ -309,7 +311,8 @@ def cmd_sweep(cfg) -> int:
         alphas = np.array([cfg["alpha"]])
     else:
         raise ParameterError("sweep requires --alpha-range or --alpha")
-    table = spectral.sweep_alpha(mesh, s, alphas, cfg["k"])
+    pencil = spectral.assemble_pencil(mesh, s, 0.0)
+    table = spectral.sweep_alpha(pencil, alphas, cfg["k"])
     out = _outdir(cfg)
 
     if cfg["format"] == "csv":
@@ -325,15 +328,13 @@ def cmd_sweep(cfg) -> int:
             for i in range(table.alphas.size)
         ])
 
-    threshold = spectral.locate_threshold(mesh, s)
+    threshold = spectral.locate_threshold(pencil)
     monotone = spectral.monotone_in_alpha(table)
     report = {
         "op": "sweep",
         "inputs": {"domain": [a, b], "n": mesh.n, "s": s, "k": cfg["k"],
                    "alphas": table.alphas},
-        "alpha_star": threshold["alpha_star"],
         "minus_inv_c": threshold["minus_inv_c"],
-        "difference": threshold["difference"],
         "threshold_holds": threshold["holds"],
         "monotone_in_alpha": monotone,
     }

@@ -25,11 +25,12 @@ The paper's proof device, the minimal shift gamma >= 0 making
 the discrete sharp version of the coercivity estimate
 B(u, u) + gamma ||u||^2 >= (1/2) ||u||_H^2, is reported with each
 spectrum.  Since A_alpha - A_loc/2 = A_(2 alpha)/2, gamma is
-max(0, -lambda_1(2 alpha)/2).  Its exact zero is certified by one Cholesky
-attempt of A_alpha - A_loc/2 (Sylvester inertia; it succeeds for every
-alpha >= 0); only when that fails is lambda_1 of E_(2 alpha)/2 =
-diag(l/m)/2 + alpha B computed, and verify checks both against a dense
-eigensolve of (A_loc/2 - A_alpha, M).  The resolvent identity
+max(0, -lambda_1(2 alpha)/2).  Both come from E_(2 alpha)/2 =
+diag(l/m)/2 + alpha B, which is congruent to A_alpha - A_loc/2: its exact
+zero is certified by one Cholesky attempt of that matrix (Sylvester
+inertia; it succeeds for every alpha >= 0), and only when that fails is
+its lambda_1 computed.  verify checks both against a dense eigensolve of
+(A_loc/2 - A_alpha, M).  The resolvent identity
 lambda_k = 1/mu_k - gamma, with mu_k the eigenvalues of
 (A_alpha + gamma M)^{-1} M, is a check in the tests and the verify suite,
 not the solver.
@@ -49,9 +50,12 @@ verify suite only read its flags.
 The coupling threshold where lambda_1 changes sign is exactly
 alpha* = -1/C_h, with C_h the largest eigenvalue of (A_frac, A_loc): the
 discrete embedding constant, the top eigenvalue of
-diag(l/m)^(-1/2) B diag(l/m)^(-1/2).  ``locate_threshold`` checks it by
-bisection on Sylvester inertia (lambda_1 > 0 iff A_alpha has a Cholesky
-factor), started from the certified bracket -(1 +- THRESHOLD_RTOL)/C_h.
+diag(l/m)^(-1/2) B diag(l/m)^(-1/2).  ``locate_threshold`` certifies it by
+Sylvester inertia (lambda_1 > 0 iff A_alpha has a Cholesky factor): two
+Cholesky attempts of the dense A_alpha, none at -(1 + THRESHOLD_RTOL)/C_h
+and one at -(1 - THRESHOLD_RTOL)/C_h, prove |alpha* + 1/C_h| C_h <=
+THRESHOLD_RTOL.  They use the dense A_alpha, not E_alpha, so that they
+check C_h, computed from B, against the original basis.
 """
 
 from __future__ import annotations
@@ -98,7 +102,6 @@ CLUSTER_RTOL = 1e-7
 CONTRACT_FLAGS = ("m_orthonormality_holds", "b_orthogonality_holds", "residuals_hold",
                   "lower_bound_holds")
 THRESHOLD_RTOL = 1e-8  # |alpha* + 1/C_h| C_h
-_BISECTION_RTOL = 1e-9  # final bracket width times C_h
 
 
 class SineBasis:
@@ -108,8 +111,7 @@ class SineBasis:
     ``weight`` is diag(l/m)^(-1/2); all three are closed forms, with
     1 - cos theta taken as 2 sin^2(theta/2) so that no digit cancels.
     ``fractional`` is B = D S A_frac S D, built on first use: callers that
-    never solve, such as the Cholesky steps of the threshold, never pay its
-    two DSTs.
+    never solve never pay its two DSTs.
     """
 
     def __init__(self, mesh: Mesh1D, a_frac: OperatorMatrix):
@@ -250,18 +252,17 @@ def embedding_constant(pencil: MixedPencil) -> float:
 def gamma_shift(pencil: MixedPencil) -> float:
     """Minimal gamma >= 0 with A_alpha + gamma M - A_loc/2 >= 0.
 
-    gamma is max(0, -lambda_1 of the excess pencil (A_alpha - A_loc/2, M)).
-    When the excess has a Cholesky factor, Sylvester inertia makes every
-    eigenvalue of that pencil positive, so gamma is exactly zero without an
-    eigensolve.  This holds for every alpha >= 0, where the fractional form
-    is positive semidefinite.  Otherwise lambda_1 comes from the excess in
-    the sine basis, diag(l/m)/2 + alpha B = E_(2 alpha)/2.
+    gamma is max(0, -lambda_1 of the excess pencil (A_alpha - A_loc/2, M)),
+    whose eigenvalues are those of diag(l/m)/2 + alpha B = E_(2 alpha)/2.
+    That matrix is congruent to the excess, so when it has a Cholesky
+    factor, Sylvester inertia makes every eigenvalue positive and gamma is
+    exactly zero without an eigensolve.  This holds for every alpha >= 0,
+    where the fractional form is positive semidefinite.  Otherwise lambda_1
+    comes from the same matrix, built again.
     """
-    # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
-    excess = pencil.a_alpha - 0.5 * pencil.a_loc.data
-    if _positive_definite(excess.T, overwrite=True):
+    # the attempt factors the C-ordered matrix in place, as its transpose
+    if _positive_definite(pencil.basis.coupled(pencil.alpha, 0.5).T, overwrite=True):
         return 0.0
-    del excess  # its n x n buffer is free before the reduced matrix is built
     reduced = pencil.basis.coupled(pencil.alpha, 0.5)
     lowest = _eigh_subset(reduced, 0, 0, eigvals_only=True, overwrite_a=True)[0]
     return max(0.0, -float(lowest))
@@ -575,23 +576,21 @@ class SweepTable:
             getattr(self, name).setflags(write=False)
 
 
-def sweep_alpha(mesh: Mesh1D, s: float, alphas, k: int) -> SweepTable:
-    """Solve the pencil for every coupling in ``alphas`` (ascending or not)."""
+def sweep_alpha(pencil: MixedPencil, alphas, k: int) -> SweepTable:
+    """Solve the pencil for every coupling in ``alphas`` (ascending or not).
+
+    Every coupling shares the pencil's assembled forms and its B.
+    """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
         raise RequestError("alpha sweep needs at least one value")
     if not np.all(np.isfinite(alphas)):
         raise RequestError("alpha values must be finite")
-    base = assemble_pencil(mesh, s, 0.0)
-    gammas = np.empty(alphas.size)
-    lams = np.empty((alphas.size, k))
-    for i, alpha in enumerate(alphas):
-        res = solve_spectrum(base.with_alpha(alpha), k)
-        gammas[i] = res.gamma
-        lams[i] = res.lambdas
+    results = [solve_spectrum(pencil.with_alpha(alpha), k) for alpha in alphas]
+    lams = np.array([res.lambdas for res in results])
     return SweepTable(
-        alphas=alphas.copy(), gammas=gammas, lambdas=lams,
-        signs=np.sign(lams[:, 0]).astype(int),
+        alphas=alphas.copy(), gammas=np.array([res.gamma for res in results]),
+        lambdas=lams, signs=np.sign(lams[:, 0]).astype(int),
     )
 
 
@@ -601,49 +600,27 @@ def monotone_in_alpha(table: SweepTable) -> bool:
     return bool(np.all(np.diff(lams, axis=0) >= -1e-9 * (1.0 + np.abs(lams[1:]))))
 
 
-def _lambda_1_positive(pencil: MixedPencil) -> bool:
-    """Sylvester inertia: lambda_1 > 0 iff A_alpha is positive definite."""
-    return _positive_definite(pencil.a_alpha)
+def locate_threshold(pencil: MixedPencil) -> dict:
+    """Certify that lambda_1(alpha) changes sign within THRESHOLD_RTOL of -1/C_h.
 
-
-def locate_threshold(mesh: Mesh1D, s: float) -> dict:
-    """Bisect the sign change of lambda_1(alpha); it must land on -1/C_h.
-
-    Each step tests the sign by one Cholesky attempt of A_alpha (inertia);
     lambda_1 never decreases in alpha (A_frac is PSD), so it changes sign
-    once.  The bisection starts from the certified bracket
-    -(1 +- THRESHOLD_RTOL)/C_h: when that straddles the sign change, the two
-    attempts already prove the flag, and about five more reach
-    _BISECTION_RTOL.  Otherwise the same loop starts from [-2/C_h, 0], and
-    RequestError is raised only when that fails too.
-    ``holds`` is |alpha* + 1/C_h| C_h <= THRESHOLD_RTOL.
+    once, and by Sylvester inertia lambda_1 > 0 iff A_alpha has a Cholesky
+    factor.  ``holds`` is that A_alpha has none at -(1 + THRESHOLD_RTOL)/C_h
+    (``indefinite_below``) and one at -(1 - THRESHOLD_RTOL)/C_h
+    (``definite_above``): together they prove |alpha* + 1/C_h| C_h <=
+    THRESHOLD_RTOL.  Only the coupling of ``pencil`` is replaced.
     """
-    base = assemble_pencil(mesh, s, 0.0)
-    c_h = embedding_constant(base)
-    brackets = (((-1.0 - THRESHOLD_RTOL) / c_h, (-1.0 + THRESHOLD_RTOL) / c_h),
-                (-2.0 / c_h, 0.0))
-    for lo, hi in brackets:
-        if (not _lambda_1_positive(base.with_alpha(lo))
-                and _lambda_1_positive(base.with_alpha(hi))):
-            break
-    else:
-        raise RequestError("no bisection bracket straddles the sign change")
-    while hi - lo > _BISECTION_RTOL / c_h:
-        mid = 0.5 * (lo + hi)
-        if _lambda_1_positive(base.with_alpha(mid)):
-            hi = mid
-        else:
-            lo = mid
-    alpha_star = 0.5 * (lo + hi)
-    difference = alpha_star + 1.0 / c_h
-    rel = abs(difference) * c_h
+    c_h = embedding_constant(pencil)
+    below = pencil.with_alpha((-1.0 - THRESHOLD_RTOL) / c_h)
+    above = pencil.with_alpha((-1.0 + THRESHOLD_RTOL) / c_h)
+    indefinite_below = not _positive_definite(below.a_alpha)
+    definite_above = _positive_definite(above.a_alpha)
     return {
-        "alpha_star": alpha_star,
         "minus_inv_c": -1.0 / c_h,
         "embedding_constant": c_h,
-        "difference": difference,
-        "relative_difference": rel,
-        "holds": rel <= THRESHOLD_RTOL,
+        "indefinite_below": indefinite_below,
+        "definite_above": definite_above,
+        "holds": indefinite_below and definite_above,
     }
 
 

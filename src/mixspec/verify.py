@@ -316,7 +316,7 @@ def suite_spectrum_contract(rng):
         return _result(name, details, {"check": "alpha=0 reduction", "rel": red})
 
     grid = np.linspace(-2.0 / c_h, 2.0 / c_h, 9)
-    table = spectral.sweep_alpha(mesh, 0.5, grid, 3)
+    table = spectral.sweep_alpha(base, grid, 3)
     if not spectral.monotone_in_alpha(table):
         return _result(name, details, {"check": "eigenvalue monotonicity in alpha"})
     for alpha, lam1 in zip(table.alphas, table.lambdas[:, 0]):
@@ -347,8 +347,8 @@ def suite_threshold(rng):
     details = {}
     mesh = fem.build_mesh(0.0, 1.0, 63)
     for s in (0.3, 0.5, 0.7):
-        th = spectral.locate_threshold(mesh, s)
-        details[f"rel_s={s}"] = th["relative_difference"]
+        th = spectral.locate_threshold(spectral.assemble_pencil(mesh, s, 0.0))
+        details[f"embedding_constant_s={s}"] = th["embedding_constant"]
         if not th["holds"]:
             return _result(name, details, {"check": "threshold", "s": s, **th})
     return _result(name, details)

@@ -1,17 +1,21 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mixspec import (
     DiscreteFunction,
     assemble_fractional_stiffness,
     assemble_mass,
+    assemble_pencil,
     build_mesh,
+    embedding_constant,
 )
+from mixspec import spectral
 from mixspec.cli import main
 from mixspec.exchange import (
     FormatError,
@@ -284,15 +288,28 @@ class TestCliSweep:
         assert code == 0
         report = json.loads((tmp_path / "sweep_report.json").read_text())
         assert report["threshold_holds"] and report["monotone_in_alpha"]
-        c_inv = -report["minus_inv_c"]
-        assert abs(report["alpha_star"] + c_inv) <= 1e-8 * c_inv
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, 31), 0.5, 0.0)
+        assert report["minus_inv_c"] == -1.0 / embedding_constant(pencil)
 
     def test_report_keys(self, tmp_path):
         assert main(["sweep", "--n", "15", "--alpha-range", "-2", "1", "3", "--k", "2",
                      "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "sweep_report.json").read_text())
-        assert set(report) == {"op", "inputs", "alpha_star", "minus_inv_c", "difference",
-                               "threshold_holds", "monotone_in_alpha"}
+        assert set(report) == {"op", "inputs", "minus_inv_c", "threshold_holds",
+                               "monotone_in_alpha"}
+
+    def test_one_assembly(self, tmp_path, monkeypatch):
+        # the solves and the threshold certificate share one pencil and its B
+        assembled, built = [], []
+        assemble, build = spectral.assemble_pencil, spectral.SineBasis.fractional.func
+        monkeypatch.setattr(spectral, "assemble_pencil",
+                            lambda *args: assembled.append(args) or assemble(*args))
+        fractional = functools.cached_property(lambda basis: built.append(basis) or build(basis))
+        fractional.__set_name__(spectral.SineBasis, "fractional")
+        monkeypatch.setattr(spectral.SineBasis, "fractional", fractional)
+        assert main(["sweep", "--n", "15", "--alpha-range", "-2", "1", "3", "--k", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert len(assembled) == 1 and len(built) == 1
 
     def test_single_point_grid(self, tmp_path):
         code = main(["sweep", "--n", "15", "--s", "0.5", "--alpha", "0.5",
@@ -330,6 +347,7 @@ class TestNumericFlagFuzz:
                       max_size=8).map("".join)
     # a count decides how many spectra the sweep solves, so it is drawn small
     COUNT = st.sampled_from(["1", "2", "3", "0", "-1", "2.5", "1e0", "-1e0", "nan", "-inf"])
+    SEED = st.one_of(NUMBER, st.integers(min_value=-2**70, max_value=2**70).map(str))
 
     @staticmethod
     def _run(argv, capsys):
@@ -341,21 +359,48 @@ class TestNumericFlagFuzz:
         assert "Traceback" not in capsys.readouterr().err
         return code
 
+    @staticmethod
+    def _seed_exit(seed):
+        """0 for a seed that parses as a nonnegative int, 2 for a negative one, else 64."""
+        try:
+            return 2 if int(seed) < 0 else 0
+        except ValueError:
+            return 64
+
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(alpha=NUMBER, a=NUMBER, b=NUMBER)
-    def test_spectrum(self, tmp_path, capsys, alpha, a, b):
+    @given(alpha=NUMBER, a=NUMBER, b=NUMBER, k=COUNT)
+    @example(alpha="1", a="0", b="1", k="-1")
+    def test_spectrum(self, tmp_path, capsys, alpha, a, b, k):
         # a value parses the same spaced as in its --alpha=value form
-        base = ["spectrum", "--n", "3", "--k", "2", "--domain", a, b, "--out", str(tmp_path)]
+        base = ["spectrum", "--n", "3", "--k", k, "--domain", a, b, "--out", str(tmp_path)]
         assert self._run(base + ["--alpha", alpha], capsys) == self._run(
             base + [f"--alpha={alpha}"], capsys)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(lo=NUMBER, hi=NUMBER, count=COUNT, a=NUMBER)
-    def test_sweep(self, tmp_path, capsys, lo, hi, count, a):
-        self._run(["sweep", "--n", "3", "--k", "2", "--alpha-range", lo, hi, count,
+    @given(lo=NUMBER, hi=NUMBER, count=COUNT, a=NUMBER, k=COUNT)
+    @example(lo="-1", hi="1", count="3", a="0", k="-1")
+    def test_sweep(self, tmp_path, capsys, lo, hi, count, a, k):
+        self._run(["sweep", "--n", "3", "--k", k, "--alpha-range", lo, hi, count,
                    "--domain", a, "1", "--out", str(tmp_path)], capsys)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=SEED)
+    @example(seed="-1")
+    def test_kfunc_seed(self, tmp_path, capsys, seed):
+        code = self._run(["kfunc", "--n", "3", "--seed", seed, "--out", str(tmp_path)], capsys)
+        assert code == self._seed_exit(seed)
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=SEED)
+    @example(seed="-1")
+    def test_verify_seed(self, tmp_path, capsys, seed):
+        code = self._run(["verify", "--suites", "threshold", "--seed", seed,
+                          "--out", str(tmp_path)], capsys)
+        assert code == self._seed_exit(seed)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -33,7 +33,7 @@ from mixspec import (
 )
 from mixspec import spectral
 from mixspec.cli import main
-from mixspec.spectral import THRESHOLD_RTOL, _count_below, _lambda_1_positive
+from mixspec.spectral import THRESHOLD_RTOL, _count_below, _positive_definite
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +218,7 @@ class TestSineBasis:
         coupled = base.with_alpha(-3.0)
         assert coupled.basis is base.basis
         # a coupling and its Cholesky step build nothing in the sine basis
-        _lambda_1_positive(coupled)
+        _positive_definite(coupled.a_alpha)
         assert "fractional" not in base.basis.__dict__
         solve_spectrum(coupled, 2)
         b_mat = base.basis.fractional
@@ -504,18 +504,18 @@ class TestSpectrumContract:
 
 class TestSweepAndThreshold:
     def test_alpha_zero_column(self, base63):
-        table = sweep_alpha(base63.mesh, 0.5, [0.0], 3)
+        table = sweep_alpha(base63, [0.0], 3)
         res = solve_spectrum(base63, 3)
         np.testing.assert_allclose(table.lambdas[0], res.lambdas, rtol=1e-12)
 
     def test_monotone_columns(self, base63):
         alphas = np.linspace(-4.0, 4.0, 9)
-        table = sweep_alpha(base63.mesh, 0.5, alphas, 3)
+        table = sweep_alpha(base63, alphas, 3)
         diffs = np.diff(table.lambdas, axis=0)
         assert np.all(diffs >= -1e-9 * (1 + np.abs(table.lambdas[1:])))
 
     def test_monotone_helper(self, base63):
-        table = sweep_alpha(base63.mesh, 0.5, [3.0, -1.0, 0.0], 2)
+        table = sweep_alpha(base63, [3.0, -1.0, 0.0], 2)
         assert monotone_in_alpha(table)
         # the same rows paired with reversed couplings decrease in alpha
         flipped = SweepTable(alphas=-table.alphas, gammas=table.gammas,
@@ -524,60 +524,64 @@ class TestSweepAndThreshold:
 
     def test_sign_change_location(self, base63):
         c_h = embedding_constant(base63)
-        table = sweep_alpha(base63.mesh, 0.5, [-2.0 / c_h, -0.5 / c_h], 1)
+        table = sweep_alpha(base63, [-2.0 / c_h, -0.5 / c_h], 1)
         assert table.signs[0] == -1 and table.signs[1] == 1
 
     def test_empty_grid(self, base63):
         with pytest.raises(RequestError):
-            sweep_alpha(base63.mesh, 0.5, [], 1)
+            sweep_alpha(base63, [], 1)
 
     def test_threshold_identity(self, base63):
-        th = locate_threshold(base63.mesh, 0.5)
-        assert abs(th["difference"]) <= 1e-8 / th["embedding_constant"]
+        th = locate_threshold(base63)
+        assert th["embedding_constant"] == embedding_constant(base63)
+        assert th["minus_inv_c"] == -1.0 / th["embedding_constant"]
+        # only the coupling of the pencil is replaced
+        assert locate_threshold(base63.with_alpha(-7.0)) == th
 
     def test_threshold_flag(self, base63):
-        th = locate_threshold(base63.mesh, 0.5)
+        th = locate_threshold(base63)
+        assert th["indefinite_below"] is True and th["definite_above"] is True
         assert th["holds"] is True
-        assert th["relative_difference"] == abs(th["difference"]) * th["embedding_constant"]
-
-    @staticmethod
-    def _record_cholesky_steps(monkeypatch):
-        tested = []
-        positive = spectral._lambda_1_positive
-
-        def recording(pencil):
-            tested.append(pencil.alpha)
-            return positive(pencil)
-
-        monkeypatch.setattr(spectral, "_lambda_1_positive", recording)
-        return tested
 
     def test_threshold_certified_bracket(self, base63, monkeypatch):
-        tested = self._record_cholesky_steps(monkeypatch)
-        th = locate_threshold(base63.mesh, 0.5)
+        # exactly two Cholesky attempts, on the dense A_alpha at the two shifts
+        tested = []
+        positive = spectral._positive_definite
+
+        def recording(matrix, **kwargs):
+            tested.append(np.array(matrix))
+            return positive(matrix, **kwargs)
+
+        monkeypatch.setattr(spectral, "_positive_definite", recording)
+        th = locate_threshold(base63)
         c_h = th["embedding_constant"]
-        assert tested[:2] == [(-1.0 - THRESHOLD_RTOL) / c_h, (-1.0 + THRESHOLD_RTOL) / c_h]
-        assert len(tested) == 7
+        shifts = [(-1.0 - THRESHOLD_RTOL) / c_h, (-1.0 + THRESHOLD_RTOL) / c_h]
+        assert len(tested) == 2
+        for matrix, alpha in zip(tested, shifts):
+            np.testing.assert_array_equal(matrix, base63.with_alpha(alpha).a_alpha)
         assert th["holds"] is True
 
-    def test_threshold_wide_bracket_fallback(self, base63, monkeypatch):
-        # C_h off by 1e-6: the certified bracket misses the sign change, the
-        # bisection goes on from [-2/C_h, 0] and the flag comes out false
-        expected = locate_threshold(base63.mesh, 0.5)
-        c_h = expected["embedding_constant"] * (1.0 + 1e-6)
-        monkeypatch.setattr(spectral, "embedding_constant", lambda pencil: c_h)
-        tested = self._record_cholesky_steps(monkeypatch)
-        th = locate_threshold(base63.mesh, 0.5)
-        # the lower end of the certified bracket already has lambda_1 > 0
-        assert tested[:3] == [(-1.0 - THRESHOLD_RTOL) / c_h, -2.0 / c_h, 0.0]
-        assert th["holds"] is False
-        assert th["relative_difference"] == pytest.approx(1e-6, rel=1e-2)
-        assert list(th) == list(expected)
-
     def test_threshold_no_bracket(self, base63, monkeypatch):
-        monkeypatch.setattr(spectral, "_lambda_1_positive", lambda pencil: True)
-        with pytest.raises(RequestError):
-            locate_threshold(base63.mesh, 0.5)
+        # C_h off by 1e-6: A_alpha is already positive definite at the lower
+        # shift, so the certified bracket misses the sign change and the flag
+        # comes out false, with nothing raised
+        c_h = embedding_constant(base63) * (1.0 + 1e-6)
+        monkeypatch.setattr(spectral, "embedding_constant", lambda pencil: c_h)
+        th = locate_threshold(base63)
+        assert th["indefinite_below"] is False and th["definite_above"] is True
+        assert th["holds"] is False
+        assert th["minus_inv_c"] == -1.0 / c_h
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=127),
+        s=st.floats(min_value=0.05, max_value=0.95),
+        a=st.floats(min_value=-10.0, max_value=10.0),
+        length=st.floats(min_value=1e-2, max_value=1e2),
+    )
+    def test_threshold_holds_property(self, n, s, a, length):
+        th = locate_threshold(assemble_pencil(build_mesh(a, a + length, n), s, 0.0))
+        assert th["indefinite_below"] is True and th["definite_above"] is True
 
 
 @pytest.fixture(scope="module")
@@ -600,7 +604,7 @@ class TestCholeskyInertia:
         base, c_h = inertia_bases[n]
         pencil = base.with_alpha(-ratio / c_h)
         lam1 = solve_spectrum(pencil, 1).lambdas[0]
-        assert _lambda_1_positive(pencil) == (lam1 > 0.0)
+        assert _positive_definite(pencil.a_alpha) == (lam1 > 0.0)
 
 
 class TestGammaCertificate:
