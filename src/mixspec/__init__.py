@@ -25,7 +25,6 @@ from .errors import (
 from .fem import (
     DiscreteFunction,
     Kind,
-    LebesgueReport,
     Mesh1D,
     OperatorMatrix,
     assemble_fractional_stiffness,

@@ -126,7 +126,12 @@ def _build_parser() -> _Parser:
 # ----------------------------------------------------------------------------
 
 def _read_config(path: str) -> dict[str, str]:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    if "\0" in text:  # no value may hold one, and a path holding one is refused by the OS
+        raise ParameterError(f"{path}: config file holds a NUL byte")
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -95,8 +95,17 @@ def _parse_matrix_block(lines: list[str], start: int, path) -> tuple[MatrixFile,
     return MatrixFile(data=data, kind=kind, s=s), start + 1 + rows
 
 
+def _read_lines(path) -> list[str]:
+    """The non-blank lines of a UTF-8 text file; other bytes are a FormatError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return [ln for ln in text.splitlines() if ln.strip()]
+
+
 def read_matrix(path) -> MatrixFile:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = _read_lines(path)
     block, end = _parse_matrix_block(lines, 0, path)
     if end != len(lines):
         raise FormatError(f"{path}: trailing content after matrix block")
@@ -111,7 +120,7 @@ def write_vector(path, func: DiscreteFunction) -> None:
 
 
 def read_vector(path) -> DiscreteFunction:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = _read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty vector file")
     header = lines[0].split()
@@ -141,7 +150,7 @@ def write_couple(path, g_x, g_y) -> None:
 
 
 def read_couple(path) -> tuple[np.ndarray, np.ndarray]:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != "# GRAM X":
         raise FormatError(f"{path}: couple file must start with '# GRAM X'")
     block_x, pos = _parse_matrix_block(lines, 1, path)

@@ -3,7 +3,7 @@
 Everything lives on a uniform mesh of (a, b) with homogeneous Dirichlet
 exterior condition: the n interior nodes carry hat functions that are
 extended by zero on the rest of the real line.  Three bilinear forms are
-assembled as dense symmetric matrices:
+assembled as symmetric Toeplitz matrices, each held by its first column:
 
 * mass             M_ij     = int phi_i phi_j
 * local stiffness  A_ij     = int phi_i' phi_j'
@@ -33,7 +33,7 @@ Delta^4 annihilates cubics, and three forms use that to avoid cancellation:
   term is positive, and the sum stops once a term drops below eps.
 
 All returned objects are immutable after construction and safe to share
-across threads.
+across threads; a form's dense matrix is built on its first read.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -54,6 +55,7 @@ from .errors import (
     ParameterError,
     SizeError,
 )
+from .interpolation import Report
 
 __all__ = [
     "Mesh1D",
@@ -68,7 +70,6 @@ __all__ = [
     "lp_norm",
     "nodal_weights",
     "check_lebesgue_interpolation",
-    "LebesgueReport",
 ]
 
 
@@ -139,56 +140,46 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense symmetric matrix tagged with the bilinear form it represents."""
+    """Symmetric Toeplitz form held by its first column; ``data`` is built on first read."""
 
     kind: Kind
-    data: np.ndarray
+    column: np.ndarray
     mesh: Mesh1D
     s: float | None = None
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise DimensionError(f"operator matrix must be square, got {d.shape}")
-        if d.shape[0] != self.mesh.n:
-            raise DimensionError(
-                f"matrix size {d.shape[0]} does not match mesh with {self.mesh.n} nodes"
-            )
-        if not np.array_equal(d, d.T):
-            raise DimensionError("operator matrix must be exactly symmetric")
+        if self.column.shape != (self.mesh.n,):
+            raise DimensionError(f"column shape {self.column.shape} does not match "
+                                 f"mesh with {self.mesh.n} nodes")
         if self.kind is Kind.FRACTIONAL_STIFFNESS:
             if self.s is None or not (0.0 < self.s < 1.0):
                 raise ParameterError(f"fractional order s must lie in (0, 1), got {self.s}")
-        d = d.copy()
+        self.column.setflags(write=False)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The dense toeplitz(column), read-only."""
+        d = toeplitz(self.column)
         d.setflags(write=False)
-        object.__setattr__(self, "data", d)
+        return d
 
     @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return self.mesh.n
 
 
 def assemble_mass(mesh: Mesh1D) -> OperatorMatrix:
     """Mass matrix of the P1 Dirichlet space: tridiag(h/6, 2h/3, h/6)."""
     h = mesh.h
-    data = _tridiag(mesh.n, 2.0 * h / 3.0, h / 6.0)
-    return OperatorMatrix(kind=Kind.MASS, data=data, mesh=mesh)
+    column = np.concatenate(([2.0 * h / 3.0, h / 6.0], np.zeros(mesh.n)))[: mesh.n]
+    return OperatorMatrix(kind=Kind.MASS, column=column, mesh=mesh)
 
 
 def assemble_local_stiffness(mesh: Mesh1D) -> OperatorMatrix:
     """Gradient (stiffness) matrix: tridiag(-1/h, 2/h, -1/h)."""
     h = mesh.h
-    data = _tridiag(mesh.n, 2.0 / h, -1.0 / h)
-    return OperatorMatrix(kind=Kind.LOCAL_STIFFNESS, data=data, mesh=mesh)
-
-
-def _tridiag(n: int, diag: float, off: float) -> np.ndarray:
-    m = np.zeros((n, n))
-    np.fill_diagonal(m, diag)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = off
-    m[idx + 1, idx] = off
-    return m
+    column = np.concatenate(([2.0 / h, -1.0 / h], np.zeros(mesh.n)))[: mesh.n]
+    return OperatorMatrix(kind=Kind.LOCAL_STIFFNESS, column=column, mesh=mesh)
 
 
 # ----------------------------------------------------------------------------
@@ -240,8 +231,7 @@ def assemble_fractional_stiffness(mesh: Mesh1D, s: float) -> OperatorMatrix:
         column = np.float64(mesh.h) ** (1.0 - 2.0 * s) * _scaled_column(mesh.n, s)
     if not np.isfinite(column).all():
         raise ParameterError(f"fractional stiffness column overflows at s={s:g}, h={mesh.h:g}")
-    data = toeplitz(column)
-    return OperatorMatrix(kind=Kind.FRACTIONAL_STIFFNESS, data=data, mesh=mesh, s=float(s))
+    return OperatorMatrix(kind=Kind.FRACTIONAL_STIFFNESS, column=column, mesh=mesh, s=float(s))
 
 
 def gagliardo_seminorm(u: DiscreteFunction, a_frac: OperatorMatrix) -> float:
@@ -282,22 +272,12 @@ def nodal_weights(mesh: Mesh1D) -> np.ndarray:
     return np.full(mesh.n, mesh.h)
 
 
-@dataclass(frozen=True)
-class LebesgueReport:
-    """Outcome of a Lebesgue interpolation-inequality check."""
-
-    s: float
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def check_lebesgue_interpolation(samples, weights, p: float, q: float, r: float) -> LebesgueReport:
+def check_lebesgue_interpolation(samples, weights, p: float, q: float, r: float) -> Report:
     """Check ||f||_r <= ||f||_q^(1-s) * ||f||_p^s with 1/r = (1-s)/q + s/p.
 
     Requires 1 <= p <= r <= q <= inf.  The intermediate exponent s is solved
     from the defining relation; when p == q (all three norms coincide) s is
-    arbitrary and reported as 1/2.
+    arbitrary and reported as 1/2.  ``inputs`` holds p, q, r and s.
     """
     for name, val in (("p", p), ("q", q), ("r", r)):
         if val != math.inf and val < 1.0:
@@ -311,4 +291,6 @@ def check_lebesgue_interpolation(samples, weights, p: float, q: float, r: float)
         s = (inv(r) - inv(q)) / (inv(p) - inv(q))
     lhs = lp_norm(samples, weights, r)
     rhs = lp_norm(samples, weights, q) ** (1.0 - s) * lp_norm(samples, weights, p) ** s
-    return LebesgueReport(s=s, lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-12))
+    return Report(op="lebesgue_interpolation", inputs={"p": p, "q": q, "r": r, "s": s},
+                  lhs=lhs, rhs=rhs, ratio=lhs / rhs if rhs > 0.0 else math.inf,
+                  holds=lhs <= rhs * (1.0 + 1e-12), tolerance=1e-12)

@@ -110,8 +110,8 @@ class SineBasis:
     ``scale`` is D = diag(m)^(-1/2), ``ratio`` is l/m (module docstring) and
     ``weight`` is diag(l/m)^(-1/2); all three are closed forms, with
     1 - cos theta taken as 2 sin^2(theta/2) so that no digit cancels.
-    ``fractional`` is B = D S A_frac S D, built on first use: callers that
-    never solve never pay its two DSTs.
+    ``fractional`` is B = D S A_frac S D, built on first use from A_frac's
+    column: callers that never solve never pay its two DSTs.
     """
 
     def __init__(self, mesh: Mesh1D, a_frac: OperatorMatrix):
@@ -127,12 +127,12 @@ class SineBasis:
             self.weight = np.sqrt(mass) / np.sqrt(local)
         for array in (self.scale, self.ratio, self.weight):
             array.setflags(write=False)
-        self._a_frac = a_frac
+        self._frac_column = a_frac.column
 
     @cached_property
     def fractional(self) -> np.ndarray:
         """B = D S A_frac S D, read-only."""
-        b = scipy.fft.dst(self._a_frac.data, type=1, norm="ortho", axis=0)
+        b = scipy.fft.dst(scipy.linalg.toeplitz(self._frac_column), type=1, norm="ortho", axis=0)
         b = scipy.fft.dst(b, type=1, norm="ortho", axis=1, overwrite_x=True)
         with np.errstate(over="ignore", invalid="ignore"):
             b *= self.scale[:, None]
@@ -203,12 +203,12 @@ def _finite_alpha(alpha) -> float:
 
 
 def _coupled(a_loc: OperatorMatrix, a_frac: OperatorMatrix, alpha: float) -> np.ndarray:
-    """A_loc + alpha*A_frac, refused when a finite alpha overflows it."""
+    """Dense A_loc + alpha*A_frac from their columns, refused when a finite alpha overflows it."""
     with np.errstate(over="ignore"):
-        a_alpha = a_loc.data + alpha * a_frac.data
-    if not np.isfinite(a_alpha).all():
+        column = a_loc.column + alpha * a_frac.column
+    if not np.isfinite(column).all():
         raise ParameterError(f"A_loc + alpha*A_frac overflows at alpha={alpha:g}")
-    return a_alpha
+    return scipy.linalg.toeplitz(column)
 
 
 def assemble_pencil(mesh: Mesh1D, s: float, alpha: float) -> MixedPencil:

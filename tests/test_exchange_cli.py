@@ -28,6 +28,9 @@ from mixspec.exchange import (
 )
 from mixspec.verify import check_matrix_file
 
+# a file that is not UTF-8 text: every reader refuses it as malformed input
+UNDECODABLE = b"\xff\xfe\x00bad"
+
 
 class TestMatrixFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -76,10 +79,11 @@ class TestMatrixFormat:
         "# 0 0 FractionalStiffness 0.5\n",
         "# 1 1 Mass NA\nnan\n",
         "# 2 2 Gram NA\n1 inf\ninf 1\n",
+        UNDECODABLE,
     ])
     def test_empty_or_non_finite_block(self, tmp_path, text):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(FormatError):
             read_matrix(path)
 
@@ -99,6 +103,9 @@ class TestVectorFormat:
         path.write_text("# 3 0 1\n1.0\n2.0\n")
         with pytest.raises(FormatError):
             read_vector(path)
+        path.write_bytes(UNDECODABLE)
+        with pytest.raises(FormatError):
+            read_vector(path)
 
 
 class TestCoupleFormat:
@@ -116,6 +123,9 @@ class TestCoupleFormat:
     def test_missing_tag(self, tmp_path):
         path = tmp_path / "couple.txt"
         path.write_text("# 1 1 Gram NA\n1\n")
+        with pytest.raises(FormatError):
+            read_couple(path)
+        path.write_bytes(UNDECODABLE)
         with pytest.raises(FormatError):
             read_couple(path)
 
@@ -448,6 +458,14 @@ class TestCliKfunc:
         assert main(["kfunc", "--couple", str(tmp_path / "bad.txt"),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag", ["--couple", "--f"])
+    def test_undecodable_file_exit_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(UNDECODABLE)
+        assert main(["kfunc", "--n", "3", flag, str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_s_near_one(self, tmp_path):
         code = main(["kfunc", "--n", "31", "--s", "0.999999", "--p", "2",
                      "--out", str(tmp_path)])
@@ -526,10 +544,10 @@ class TestCliVerify:
 
     @pytest.mark.parametrize("text", ["# -1 3 Mass NA\n1 2 3\n",
                                       "# 0 0 FractionalStiffness 0.5\n",
-                                      "# 1 1 Mass NA\nnan\n"])
+                                      "# 1 1 Mass NA\nnan\n", UNDECODABLE])
     def test_malformed_matrix_counterexample(self, tmp_path, text):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["verify", "--suites", "lebesgue", "--matrix", str(path),
                      "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "verify_report.json").read_text())
@@ -553,10 +571,11 @@ class TestConfigFile:
         block = read_matrix(tmp_path / "cfg_out" / "mass.txt")
         assert block.data.shape == (9, 9)
 
-    @pytest.mark.parametrize("line", ["alpha_range = -1 1", "domain = 0", "domain = 0 1 2"])
+    @pytest.mark.parametrize("line", ["alpha_range = -1 1", "domain = 0", "domain = 0 1 2",
+                                      UNDECODABLE, b"couple = a\x00b"])
     def test_value_count(self, tmp_path, capsys, line):
         config = tmp_path / "run.cfg"
-        config.write_text(line + "\n")
+        config.write_bytes(line if isinstance(line, bytes) else (line + "\n").encode())
         assert main(["sweep", "--n", "7", "--alpha", "1", "--config", str(config),
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")

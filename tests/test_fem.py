@@ -316,7 +316,9 @@ class TestLebesgueInterpolation:
         assert rep.holds and rep.lhs < rep.rhs
         # cross-check both sides independently
         s = (1.0 / 2.0 - 1.0 / 4.0) / (1.0 / 1.0 - 1.0 / 4.0)
-        assert rep.s == pytest.approx(s, rel=1e-15)
+        assert rep.inputs["s"] == pytest.approx(s, rel=1e-15)
+        assert rep.op == "lebesgue_interpolation" and rep.tolerance == 1e-12
+        assert rep.ratio == rep.lhs / rep.rhs
         lhs = math.sqrt(0.5 * (1 + 100))
         rhs = (0.5 * (1 + 10**4)) ** ((1 - s) / 4) * (0.5 * 11) ** s
         assert rep.lhs == pytest.approx(lhs, rel=1e-14)
@@ -324,7 +326,7 @@ class TestLebesgueInterpolation:
 
     def test_infinite_q(self):
         rep = check_lebesgue_interpolation([1.0, 2.0, 0.5], [0.3, 0.3, 0.4], 1.0, math.inf, 2.0)
-        assert rep.holds and rep.s == pytest.approx(0.5)
+        assert rep.holds and rep.inputs["s"] == pytest.approx(0.5)
 
     def test_random_sweep(self):
         rng = np.random.default_rng(11)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixspec import (
@@ -53,11 +53,42 @@ class TestPencilAssembly:
             plus.a_alpha + minus.a_alpha, 2.0 * base.a_loc.data, atol=1e-14
         )
 
-    def test_reassembly_consistency(self):
-        mesh = build_mesh(0.0, 1.0, 4)
-        pencil = assemble_pencil(mesh, 0.5, 2.0)
-        again = assemble_local_stiffness(mesh).data + 2.0 * assemble_fractional_stiffness(mesh, 0.5).data
-        np.testing.assert_array_equal(pencil.a_alpha, again)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), s=st.floats(0.01, 0.99),
+           alpha=st.floats(allow_nan=False, allow_infinity=False))
+    @example(n=4, s=0.5, alpha=2.0)
+    @example(n=5, s=0.5, alpha=1e308)
+    @example(n=300, s=0.9, alpha=-1e306)
+    def test_reassembly_consistency(self, n, s, alpha):
+        """A_alpha from the columns has the bits of the dense sum, or overflows with it."""
+        mesh = build_mesh(0.0, 1.0, n)
+        pencil = assemble_pencil(mesh, s, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            again = (assemble_local_stiffness(mesh).data
+                     + alpha * assemble_fractional_stiffness(mesh, s).data)
+        if np.isfinite(again).all():
+            assert np.array_equal(pencil.with_alpha(alpha).a_alpha, again)
+        else:
+            with pytest.raises(ParameterError):
+                pencil.with_alpha(alpha)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_local_forms_are_tridiagonal(self, n):
+        mesh = build_mesh(-1.0, 2.5, n)
+        h = mesh.h
+        for form, diag, off in ((assemble_mass(mesh), 2.0 * h / 3.0, h / 6.0),
+                                (assemble_local_stiffness(mesh), 2.0 / h, -1.0 / h)):
+            explicit = (np.diag(np.full(n, diag)) + np.diag(np.full(n - 1, off), 1)
+                        + np.diag(np.full(n - 1, off), -1))
+            assert np.array_equal(form.data, explicit) and not form.data.flags.writeable
+
+    def test_spectrum_path_builds_no_dense_local_form(self):
+        """Solving, certifying, sweeping and the threshold read A_loc and A_frac by column."""
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, 31), 0.5, -3.0)
+        check_contract(solve_spectrum(pencil, 3), pencil)
+        sweep_alpha(pencil, [-30.0, 0.0, 2.0], 2)
+        locate_threshold(pencil)
+        assert "data" not in vars(pencil.a_loc) and "data" not in vars(pencil.a_frac)
 
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
