@@ -31,6 +31,10 @@ EXIT_FAILURE = 1
 EXIT_PARAMETER = 2
 EXIT_USAGE = 64
 
+# the most couplings one sweep solves; every one costs an eigensolve, and a
+# larger count is refused before any array of that length is allocated
+MAX_SWEEP_COUNT = 10_000
+
 _DEFAULTS = {
     "domain": (0.0, 1.0),
     "n": 31,
@@ -308,6 +312,8 @@ def cmd_sweep(cfg) -> int:
         lo, hi, count = cfg["alpha_range"]
         if not count.is_integer():
             raise ParameterError(f"alpha range count must be a whole number, got {count}")
+        if count > MAX_SWEEP_COUNT:
+            raise ParameterError(f"alpha range count {count:g} exceeds {MAX_SWEEP_COUNT}")
         count = int(count)
         if count < 1:
             raise RequestError("alpha range needs a positive count")

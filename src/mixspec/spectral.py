@@ -56,6 +56,9 @@ Cholesky attempts of the dense A_alpha, none at -(1 + THRESHOLD_RTOL)/C_h
 and one at -(1 - THRESHOLD_RTOL)/C_h, prove |alpha* + 1/C_h| C_h <=
 THRESHOLD_RTOL.  They use the dense A_alpha, not E_alpha, so that they
 check C_h, computed from B, against the original basis.
+
+C_h and the Brezis-type constant C_B (``verify_brezis_inequality``) are
+both the top eigenvalue of a diagonally weighted B (``SineBasis.top``).
 """
 
 from __future__ import annotations
@@ -67,8 +70,6 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 import scipy.linalg
-import scipy.optimize
-import scipy.sparse
 
 from .errors import AccuracyError, ParameterError, RequestError
 from .fem import (
@@ -78,6 +79,7 @@ from .fem import (
     assemble_local_stiffness,
     assemble_mass,
 )
+from .interpolation import Report
 
 __all__ = [
     "MixedPencil",
@@ -150,6 +152,19 @@ class SineBasis:
             e = alpha * self.fractional
             e.flat[:: e.shape[0] + 1] += diagonal * self.ratio
         return e
+
+    def top(self, weight: np.ndarray) -> float:
+        """Top eigenvalue of diag(weight) B diag(weight), positive or AccuracyError."""
+        # B W first, so that a tiny weight never meets a tiny weight in one product
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = self.fractional * weight[None, :]
+            scaled *= weight[:, None]
+        n = weight.size
+        top = float(_eigh_subset(scaled, n - 1, n - 1, eigvals_only=True, overwrite_a=True)[0])
+        # A_frac is PSD with a positive diagonal, so only an underflow gives top <= 0
+        if not top > 0.0:
+            raise AccuracyError(f"top eigenvalue {top:g} of the weighted B is not a positive float")
+        return top
 
     def vectors(self, y: np.ndarray) -> np.ndarray:
         """Eigenvectors S D y of the pencil from those of E_alpha, columnwise."""
@@ -236,17 +251,7 @@ def embedding_constant(pencil: MixedPencil) -> float:
     reciprocal marks the coupling threshold -1/C_h for the sign of lambda_1.
     In the sine basis it is the top eigenvalue of W B W, W = diag(l/m)^(-1/2).
     """
-    basis = pencil.basis
-    # B W first, so that a tiny weight never meets a tiny weight in one product
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = basis.fractional * basis.weight[None, :]
-        scaled *= basis.weight[:, None]
-    n = pencil.n
-    top = float(_eigh_subset(scaled, n - 1, n - 1, eigvals_only=True, overwrite_a=True)[0])
-    # A_frac is PSD with a positive diagonal, so only an underflow gives top <= 0
-    if not top > 0.0:
-        raise AccuracyError(f"embedding constant {top:g} is not a positive float")
-    return top
+    return pencil.basis.top(pencil.basis.weight)
 
 
 def gamma_shift(pencil: MixedPencil) -> float:
@@ -524,14 +529,22 @@ def verify_variational_characterization(
     This proves the bound for the sampled directions only; it is the
     randomized route that checks ``certify_spectrum`` at small n.
 
-    The mass products of the sample block go through a CSR copy of M (it
-    skips the exact zeros of whatever matrix the pencil holds); A_alpha is
-    dense and multiplies the block densely.
+    The mass products of the sample block use the three-term stencil of M's
+    column, in O(n) per sample; A_alpha is dense and multiplies the block
+    densely.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     a_mat = pencil.a_alpha
     mass = pencil.mass.data
-    mass_csr = scipy.sparse.csr_array(mass)
+    column = pencil.mass.column
+
+    def mass_times(z):
+        product = column[0] * z
+        if z.shape[0] > 1:
+            product[1:] += column[1] * z[:-1]
+            product[:-1] += column[1] * z[1:]
+        return product
+
     k = result.lambdas.size
     per_k = []
     ok = True
@@ -544,9 +557,9 @@ def verify_variational_characterization(
             active = np.abs(result.lambdas[: j - 1]) != 0.0
             basis = u_prev[:, active]
             if basis.size:
-                z = z - basis @ (basis.T @ (mass_csr @ z))
+                z = z - basis @ (basis.T @ mass_times(z))
         num = np.einsum("ij,ij->j", z, a_mat @ z)
-        den = np.einsum("ij,ij->j", z, mass_csr @ z)
+        den = np.einsum("ij,ij->j", z, mass_times(z))
         good = den > 1e-12 * np.max(den)
         quotients = num[good] / den[good]
         u_k = result.vectors[:, j - 1]
@@ -624,54 +637,29 @@ def locate_threshold(pencil: MixedPencil) -> dict:
     }
 
 
-def verify_brezis_inequality(mesh: Mesh1D, s: float, trials: int, *, rng=None) -> dict:
-    """Sampled sharpness of u^T A_frac u <= C (u^T M u)^(1-s) (u^T (M+A_loc) u)^s.
+def verify_brezis_inequality(pencil: MixedPencil) -> Report:
+    """The constant C_B of u^T A_frac u <= C_B (u^T M u)^(1-s) (u^T (M+A_loc) u)^s.
 
-    Draws standard normal coefficient vectors, reports the largest ratio,
-    and polishes the best sample by local ascent on the log ratio.  The
-    maximum is reported, not asserted against any continuum constant;
-    across mesh refinement it should stay stable.
+    With x = diag(m)^(1/2) S u, u^T A_frac u = x^T B x.  C_B is the top
+    eigenvalue of V B V, V = diag(1 + l/m)^(-s/2): the sharp constant of
+    x^T B x <= C_B sum (1 + l/m)^s x^2.  That sum is the K2 (s, 2) norm of
+    the couple (M, M + A_loc) squared over kappa = pi/(2 sin pi s), and by
+    Hoelder at most (u^T M u)^(1-s) (u^T (M+A_loc) u)^s.  So C_B bounds the
+    Brezis ratio; it is not the ratio's maximum.
+
+    ``holds`` is the theorem C_B <= C(s) = 2 pi/(Gamma(1+2s) sin pi s).
+    A_frac is the whole-plane raw form of the zero extension, C(s) int
+    |xi|^(2s) |u^|^2 dxi/2pi (Di Nezza, Palatucci and Valdinoci 2012);
+    (1 + xi^2)^s >= |xi|^(2s), and kappa int (1 + xi^2)^s |u^|^2 dxi/2pi is
+    the K2 (s, 2) norm of (L2, H1) squared (Lions and Magenes); K2 over the
+    P1 subspace is never smaller than over the whole couple.  That last step
+    also makes C_B nondecreasing on nested meshes (n -> 2n + 1).  The
+    ``tolerance`` n eps allows for the rounding of the eigensolve.
     """
-    if trials < 1:
-        raise RequestError(f"need at least one trial, got {trials}")
-    rng = np.random.default_rng(0) if rng is None else rng
-    pencil = assemble_pencil(mesh, s, 0.0)
-    a_frac = pencil.a_frac.data
-    mass = pencil.mass.data
-    w12 = mass + pencil.a_loc.data
-
-    z = rng.standard_normal((mesh.n, trials))
-    num = np.einsum("ij,ij->j", z, a_frac @ z)
-    den = (
-        np.einsum("ij,ij->j", z, mass @ z) ** (1.0 - s)
-        * np.einsum("ij,ij->j", z, w12 @ z) ** s
-    )
-    ratios = num / den
-    best = int(np.argmax(ratios))
-    max_ratio = float(ratios[best])
-
-    def neg_log_ratio(u):
-        qf = float(u @ a_frac @ u)
-        qm = float(u @ mass @ u)
-        qw = float(u @ w12 @ u)
-        if min(qf, qm, qw) <= 0.0:
-            return np.inf, np.zeros_like(u)
-        value = -(math.log(qf) - (1.0 - s) * math.log(qm) - s * math.log(qw))
-        grad = -(2.0 * (a_frac @ u) / qf
-                 - 2.0 * (1.0 - s) * (mass @ u) / qm
-                 - 2.0 * s * (w12 @ u) / qw)
-        return value, grad
-
-    opt = scipy.optimize.minimize(
-        neg_log_ratio, z[:, best], jac=True, method="L-BFGS-B",
-        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
-    )
-    if np.isfinite(opt.fun):
-        max_ratio = max(max_ratio, math.exp(-float(opt.fun)))
-    return {
-        "op": "brezis_ratio",
-        "s": s,
-        "n": mesh.n,
-        "trials": trials,
-        "max_ratio": max_ratio,
-    }
+    s, n, basis = pencil.s, pencil.n, pencil.basis
+    constant = basis.top((1.0 + basis.ratio) ** (-0.5 * s))
+    bound = 2.0 * math.pi / (math.gamma(1.0 + 2.0 * s) * math.sin(math.pi * s))
+    tolerance = n * float(np.finfo(float).eps)
+    return Report(op="brezis_constant", inputs={"s": s, "n": n}, lhs=constant, rhs=bound,
+                  ratio=constant / bound, holds=constant <= bound * (1.0 + tolerance),
+                  tolerance=tolerance)

@@ -1,6 +1,10 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +19,8 @@ from mixspec import (
     build_mesh,
     embedding_constant,
 )
-from mixspec import spectral
-from mixspec.cli import main
+from mixspec import cli, spectral
+from mixspec.cli import MAX_SWEEP_COUNT, main
 from mixspec.exchange import (
     FormatError,
     read_couple,
@@ -340,6 +344,22 @@ class TestCliSweep:
         assert main(["sweep", "--n", "15", "--s", "0.5", "--alpha-range",
                      "-1", "1", "0", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("source", ["1e30", str(MAX_SWEEP_COUNT + 1), "config"])
+    def test_huge_count_refused_before_assembly(self, tmp_path, capsys, monkeypatch, source):
+        assembled = []
+        monkeypatch.setattr(spectral, "assemble_pencil", lambda *args: assembled.append(args))
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha_range = 0 1 1e30\n")
+        count = (["--config", str(config)] if source == "config"
+                 else ["--alpha-range", "0", "1", source])
+        assert main(["sweep", "--n", "3", *count, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:") and not assembled
+
+    def test_count_limit_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_COUNT", 3)
+        args = ["sweep", "--n", "3", "--k", "1", "--out", str(tmp_path), "--alpha-range", "0", "1"]
+        assert main(args + ["3"]) == 0
+        assert main(args + ["4"]) == 2
 
     def test_negative_exponent_range(self, tmp_path):
         plain, exponent = tmp_path / "plain", tmp_path / "exponent"
@@ -556,6 +576,46 @@ class TestCliVerify:
 
     def test_unknown_suite(self, tmp_path):
         assert main(["verify", "--suites", "nope", "--out", str(tmp_path)]) == 2
+
+
+class TestFileContentFuzz:
+    """Any bytes in an input file end in an exit code of the contract, never a traceback."""
+
+    ARGV = {
+        "config": ["assemble", "--n", "3", "--s", "0.5", "--domain", "0", "1", "--config"],
+        "couple": ["kfunc", "--couple"],
+        "f": ["kfunc", "--n", "3", "--f"],
+        "matrix": ["verify", "--suites", "threshold", "--matrix"],
+    }
+
+    @pytest.mark.parametrize("source", sorted(ARGV))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=st.binary(max_size=256))
+    @example(content=b"")
+    @example(content=b"# 1 1 Gram NA\n1\n")
+    @example(content=b"# GRAM X\n# 1 1 Gram NA\n1\n# GRAM Y\n# 1 1 Gram NA\n-1\n")
+    def test_exit_code_contract(self, tmp_path, capsys, source, content):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        try:
+            code = main(self.ARGV[source] + [str(path), "--out", str(tmp_path / "out")])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2, 64)
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_optimize_and_sparse():
+    # a fresh import pays for every scipy submodule it loads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = ("import sys, mixspec.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfigFile:

@@ -33,6 +33,7 @@ from mixspec import (
 )
 from mixspec import spectral
 from mixspec.cli import main
+from mixspec.interpolation import interpolation_gram
 from mixspec.spectral import THRESHOLD_RTOL, _count_below, _positive_definite
 
 
@@ -664,20 +665,24 @@ class TestGammaCertificate:
             assert gamma == pytest.approx(max(0.0, top), rel=1e-10, abs=1e-10 * scale)
 
 
+def _brezis_ratios(pencil, u):
+    """u^T A_frac u / ((u^T M u)^(1-s) (u^T (M+A_loc) u)^s), one per column of u."""
+    def quad(matrix):
+        return np.einsum("ij,ij->j", u, matrix @ u)
+
+    mass, s = pencil.mass.data, pencil.s
+    return quad(pencil.a_frac.data) / (quad(mass) ** (1 - s) * quad(mass + pencil.a_loc.data) ** s)
+
+
+def _brezis_bound(s):
+    return 2.0 * math.pi / (math.gamma(1.0 + 2.0 * s) * math.sin(math.pi * s))
+
+
 class TestBrezisInequality:
-    def test_first_eigenvector_membership(self):
-        mesh = build_mesh(0.0, 1.0, 63)
-        pencil = assemble_pencil(mesh, 0.5, 0.0)
-        res = solve_spectrum(pencil, 1)
-        u = res.vectors[:, 0]
-        s = 0.5
-        num = float(u @ pencil.a_frac.data @ u)
-        den = (
-            float(u @ pencil.mass.data @ u) ** (1 - s)
-            * float(u @ (pencil.mass.data + pencil.a_loc.data) @ u) ** s
-        )
-        rep = verify_brezis_inequality(mesh, s, 500, rng=np.random.default_rng(4))
-        assert num / den <= rep["max_ratio"] * (1 + 1e-12)
+    def test_first_eigenvector_membership(self, base63):
+        u = solve_spectrum(base63, 1).vectors
+        rep = verify_brezis_inequality(base63)
+        assert _brezis_ratios(base63, u)[0] <= rep.lhs * (1 + 1e-12)
 
     def test_single_mode_hoelder_consistency(self):
         mesh = build_mesh(0.0, 1.0, 31)
@@ -696,14 +701,51 @@ class TestBrezisInequality:
             assert direct == pytest.approx(via_machinery, rel=1e-10)
 
     def test_refinement_stability(self):
-        ratios = []
+        constants = []
         for n in (15, 31, 63):
-            rep = verify_brezis_inequality(
-                build_mesh(0.0, 1.0, n), 0.5, 300, rng=np.random.default_rng(5)
-            )
-            ratios.append(rep["max_ratio"])
-        assert (max(ratios) - min(ratios)) / min(ratios) < 0.2
+            rep = verify_brezis_inequality(assemble_pencil(build_mesh(0.0, 1.0, n), 0.5, 0.0))
+            assert rep.holds
+            constants.append(rep.lhs)
+        assert constants == sorted(constants)
+        assert (max(constants) - min(constants)) / min(constants) < 0.2
 
-    def test_trials_validation(self):
-        with pytest.raises(RequestError):
-            verify_brezis_inequality(build_mesh(0.0, 1.0, 7), 0.5, 0)
+    def test_report(self):
+        pencil = assemble_pencil(build_mesh(-1.0, 2.0, 9), 0.3, -7.0)
+        rep = verify_brezis_inequality(pencil)
+        assert rep.op == "brezis_constant" and rep.inputs == {"s": 0.3, "n": 9}
+        assert rep.rhs == pytest.approx(_brezis_bound(0.3), rel=1e-15)
+        assert rep.ratio == rep.lhs / rep.rhs and rep.holds
+        assert rep.tolerance == 9 * np.finfo(float).eps
+        # only the mesh and s are read, not the coupling
+        assert verify_brezis_inequality(pencil.with_alpha(5.0)).lhs == rep.lhs
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 31, 63])
+    @pytest.mark.parametrize("s", [0.01, 0.5, 0.99])
+    def test_interpolation_gram_identity(self, n, s):
+        # the independent route: the interpolation layer's (s, 2) Gram of the
+        # couple (M, M + A_loc), over kappa, against the Gagliardo form
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, n), s, 0.0)
+        mass = pencil.mass.data
+        couple = couple_from_grams(mass, mass + pencil.a_loc.data)
+        kappa = math.pi / (2.0 * math.sin(math.pi * s))
+        gram = interpolation_gram(couple, s) / kappa
+        top = scipy.linalg.eigh(pencil.a_frac.data, gram, eigvals_only=True)[-1]
+        assert verify_brezis_inequality(pencil).lhs == pytest.approx(top, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(0.02, 0.98), n=st.integers(1, 15),
+           domain=st.sampled_from([(0.0, 1.0), (-1.0, 2.5), (3.0, 3.1)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_nested_meshes_and_samples(self, s, n, domain, seed):
+        # C_B <= C(s), never falls from n to 2n + 1, and bounds the Brezis ratio
+        # of random vectors and of the first eigenvector
+        previous = 0.0
+        for _ in range(3):
+            pencil = assemble_pencil(build_mesh(*domain, n), s, 0.0)
+            rep = verify_brezis_inequality(pencil)
+            assert rep.holds and rep.lhs <= _brezis_bound(s) * (1 + rep.tolerance)
+            assert rep.lhs >= previous * (1 - rep.tolerance)
+            u = np.random.default_rng(seed).standard_normal((n, 200))
+            u = np.hstack([u, solve_spectrum(pencil, 1).vectors])
+            assert np.all(_brezis_ratios(pencil, u) <= rep.lhs * (1 + 1e-12))
+            previous, n = rep.lhs, 2 * n + 1
