@@ -473,6 +473,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc.filename or ''}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

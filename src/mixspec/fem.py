@@ -33,7 +33,7 @@ Delta^4 annihilates cubics, and three forms use that to avoid cancellation:
   term is positive, and the sum stops once a term drops below eps.
 
 All returned objects are immutable after construction and safe to share
-across threads; a form's dense matrix is built on its first read.
+across threads; a form's dense matrix is built afresh on each read.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -140,7 +139,7 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Symmetric Toeplitz form held by its first column; ``data`` is built on first read."""
+    """Symmetric Toeplitz form held by its first column; ``data`` builds it afresh on each read."""
 
     kind: Kind
     column: np.ndarray
@@ -156,9 +155,9 @@ class OperatorMatrix:
                 raise ParameterError(f"fractional order s must lie in (0, 1), got {self.s}")
         self.column.setflags(write=False)
 
-    @cached_property
+    @property
     def data(self) -> np.ndarray:
-        """The dense toeplitz(column), read-only."""
+        """A new dense toeplitz(column), read-only; nothing keeps it."""
         d = toeplitz(self.column)
         d.setflags(write=False)
         return d

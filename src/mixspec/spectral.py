@@ -36,9 +36,10 @@ lambda_k = 1/mu_k - gamma, with mu_k the eigenvalues of
 not the solver.
 
 Every result is checked in the original basis, by a route independent of
-the solve: residuals, orthonormality and the certificate use the dense
-A_alpha and M.  That lambda_1..lambda_k are the k smallest eigenvalues,
-the min-max characterization, is certified by Sylvester inertia
+the solve: residuals, orthonormality and the certificate use dense A_alpha
+and M, each built from its column for one product and then dropped.  That
+lambda_1..lambda_k are the k smallest eigenvalues, the min-max
+characterization, is certified by Sylvester inertia
 (``certify_spectrum``): a Cholesky factor just below lambda_1 and a
 Bunch-Kaufman LDL^T count just above lambda_k prove it for every direction
 at once.  The sampled Rayleigh-quotient check
@@ -54,7 +55,7 @@ diag(l/m)^(-1/2) B diag(l/m)^(-1/2).  ``locate_threshold`` certifies it by
 Sylvester inertia (lambda_1 > 0 iff A_alpha has a Cholesky factor): two
 Cholesky attempts of the dense A_alpha, none at -(1 + THRESHOLD_RTOL)/C_h
 and one at -(1 - THRESHOLD_RTOL)/C_h, prove |alpha* + 1/C_h| C_h <=
-THRESHOLD_RTOL.  They use the dense A_alpha, not E_alpha, so that they
+THRESHOLD_RTOL.  They use a dense A_alpha, not E_alpha, so that they
 check C_h, computed from B, against the original basis.
 
 C_h and the Brezis-type constant C_B (``verify_brezis_inequality``) are
@@ -64,7 +65,7 @@ both the top eigenvalue of a diagonally weighted B (``SineBasis.top``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -104,6 +105,7 @@ CLUSTER_RTOL = 1e-7
 CONTRACT_FLAGS = ("m_orthonormality_holds", "b_orthogonality_holds", "residuals_hold",
                   "lower_bound_holds")
 THRESHOLD_RTOL = 1e-8  # |alpha* + 1/C_h| C_h
+VARIATIONAL_SAMPLES = 1000  # random directions per k of verify_variational_characterization
 
 
 class SineBasis:
@@ -185,29 +187,24 @@ class MixedPencil:
     a_loc: OperatorMatrix
     a_frac: OperatorMatrix
     mass: OperatorMatrix
-    a_alpha: np.ndarray
+    column: np.ndarray  # A_alpha = A_loc + alpha*A_frac by its Toeplitz column, read-only
     basis: SineBasis = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        self.a_alpha.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.mesh.n
 
+    @property
+    def a_alpha(self) -> np.ndarray:
+        """A new dense A_alpha, read-only; nothing keeps it."""
+        a = scipy.linalg.toeplitz(self.column)
+        a.setflags(write=False)
+        return a
+
     def with_alpha(self, alpha: float) -> "MixedPencil":
         """Same mesh and assembled forms, different coupling."""
         alpha = _finite_alpha(alpha)
-        return MixedPencil(
-            mesh=self.mesh,
-            s=self.s,
-            alpha=alpha,
-            a_loc=self.a_loc,
-            a_frac=self.a_frac,
-            mass=self.mass,
-            a_alpha=_coupled(self.a_loc, self.a_frac, alpha),
-            basis=self.basis,
-        )
+        return replace(self, alpha=alpha, column=_coupled(self.a_loc, self.a_frac, alpha))
 
 
 def _finite_alpha(alpha) -> float:
@@ -218,16 +215,17 @@ def _finite_alpha(alpha) -> float:
 
 
 def _coupled(a_loc: OperatorMatrix, a_frac: OperatorMatrix, alpha: float) -> np.ndarray:
-    """Dense A_loc + alpha*A_frac from their columns, refused when a finite alpha overflows it."""
+    """Read-only column of A_loc + alpha*A_frac, refused when a finite alpha overflows it."""
     with np.errstate(over="ignore"):
         column = a_loc.column + alpha * a_frac.column
     if not np.isfinite(column).all():
         raise ParameterError(f"A_loc + alpha*A_frac overflows at alpha={alpha:g}")
-    return scipy.linalg.toeplitz(column)
+    column.setflags(write=False)
+    return column
 
 
 def assemble_pencil(mesh: Mesh1D, s: float, alpha: float) -> MixedPencil:
-    """Assemble mass, local and fractional forms and cache A_loc + alpha*A_frac."""
+    """Assemble the columns of the mass, local and fractional forms and of A_alpha."""
     alpha = _finite_alpha(alpha)
     a_loc = assemble_local_stiffness(mesh)
     a_frac = assemble_fractional_stiffness(mesh, s)
@@ -239,7 +237,7 @@ def assemble_pencil(mesh: Mesh1D, s: float, alpha: float) -> MixedPencil:
         a_loc=a_loc,
         a_frac=a_frac,
         mass=mass,
-        a_alpha=_coupled(a_loc, a_frac, alpha),
+        column=_coupled(a_loc, a_frac, alpha),
         basis=SineBasis(mesh, a_frac),
     )
 
@@ -266,20 +264,20 @@ def gamma_shift(pencil: MixedPencil) -> float:
     comes from the same matrix, built again.
     """
     # the attempt factors the C-ordered matrix in place, as its transpose
-    if _positive_definite(pencil.basis.coupled(pencil.alpha, 0.5).T, overwrite=True):
+    if _positive_definite(pencil.basis.coupled(pencil.alpha, 0.5).T):
         return 0.0
     reduced = pencil.basis.coupled(pencil.alpha, 0.5)
     lowest = _eigh_subset(reduced, 0, 0, eigvals_only=True, overwrite_a=True)[0]
     return max(0.0, -float(lowest))
 
 
-def _positive_definite(matrix: np.ndarray, *, overwrite: bool = False) -> bool:
+def _positive_definite(matrix: np.ndarray) -> bool:
     """One Cholesky attempt of a finite symmetric matrix (Sylvester inertia).
 
-    With ``overwrite`` a Fortran-ordered matrix is factored in place.
+    A Fortran-ordered matrix is factored in place: every caller passes a fresh one.
     """
     try:
-        scipy.linalg.cholesky(matrix, overwrite_a=overwrite, check_finite=False)
+        scipy.linalg.cholesky(matrix, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError:
         return False
     return True
@@ -343,7 +341,7 @@ def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
     sign of alpha, mapped back by S D.  gamma = gamma_shift(pencil) is
     computed alongside and reported.  Eigenvectors are returned
     M-orthonormal with the sign fixed so the entry of largest magnitude is
-    positive.  Residuals are taken with the dense A_alpha and M.
+    positive.  Residuals use a transient dense A_alpha, then M.
     """
     n = pencil.n
     if not 1 <= k <= n:
@@ -407,20 +405,21 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     closed-form smallest eigenvalue of the P1 mass matrix.  Each u_k must
     also attain lambda_k: |u_k^T A u_k / u_k^T M u_k - lambda_k| <= 1e-8 (1 + |lambda_k|).
 
-    Every shifted matrix is formed and factored in place in one n x n
-    buffer; nothing is drawn at random.
+    The quotients read one dense A_alpha and then one dense M; every shifted
+    matrix is built from the two columns and factored in place.  So one
+    n x n array of this function is alive at a time; nothing is drawn at random.
     """
-    a_mat = pencil.a_alpha
-    mass = pencil.mass.data
     lambdas = result.lambdas
     n, k = pencil.n, lambdas.size
-    # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
-    buf = np.empty((n, n))
+
+    def forms(dense):
+        return [float(u_k @ dense @ u_k) for u_k in result.vectors.T]
+
+    attained = [a / m for a, m in zip(forms(pencil.a_alpha), forms(pencil.mass.data))]
 
     def shifted(sigma):
-        np.multiply(mass, -sigma, out=buf)
-        np.add(buf, a_mat, out=buf)
-        return buf.T
+        # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
+        return scipy.linalg.toeplitz(pencil.mass.column * -sigma + pencil.column).T
 
     mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
     norm = max(scipy.linalg.lapack.dlange("1", shifted(lam)) for lam in (lambdas[0], lambdas[-1]))
@@ -428,8 +427,7 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     delta_1 = max(1e-8 * (1.0 + abs(lambdas[0])), margin)
     delta_k = max(1e-8 * (1.0 + abs(lambdas[-1])), margin)
     lower, upper = float(lambdas[0] - delta_1), float(lambdas[-1] + delta_k)
-    below_lower = (0 if _positive_definite(shifted(lower), overwrite=True)
-                   else _count_below(shifted(lower)))
+    below_lower = 0 if _positive_definite(shifted(lower)) else _count_below(shifted(lower))
     below_upper = _count_below(shifted(upper))
     report = {
         "op": "variational_characterization",
@@ -450,10 +448,8 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     per_k = []
     for j in range(k):
         lam = lambdas[j]
-        u_k = result.vectors[:, j]
-        attained = float(u_k @ a_mat @ u_k) / float(u_k @ mass @ u_k)
-        holds = bool(abs(attained - lam) <= 1e-8 * (1.0 + abs(lam)))
-        per_k.append({"k": j + 1, "lambda": float(lam), "attained": attained, "holds": holds})
+        holds = bool(abs(attained[j] - lam) <= 1e-8 * (1.0 + abs(lam)))
+        per_k.append({"k": j + 1, "lambda": float(lam), "attained": attained[j], "holds": holds})
     report["holds"] = counts_hold and all(row["holds"] for row in per_k)
     report["per_k"] = per_k
     return report
@@ -515,15 +511,14 @@ def _count_below(shifted: np.ndarray) -> int:
                + np.count_nonzero(~single) // 2)
 
 
-def verify_variational_characterization(
-    result: SpectrumResult, pencil: MixedPencil, *, samples: int = 1000, rng=None
-) -> dict:
+def verify_variational_characterization(result: SpectrumResult, pencil: MixedPencil,
+                                        *, rng=None) -> dict:
     """Sample the min-max characterization of every computed eigenvalue.
 
-    For each k, random vectors are projected onto the complement (with
-    respect to the bilinear form, realized through the M inner product
-    against the eigenvectors with nonzero eigenvalue) of the first k-1
-    eigenvectors; every Rayleigh quotient must stay above
+    For each k, VARIATIONAL_SAMPLES random vectors are projected onto the
+    complement (with respect to the bilinear form, realized through the M
+    inner product against the eigenvectors with nonzero eigenvalue) of the
+    first k-1 eigenvectors; every Rayleigh quotient must stay above
     lambda_k - 1e-8 (1 + |lambda_k|), and u_k itself must attain lambda_k.
     The eigenvector quotient is included in the reported sampled minimum.
     This proves the bound for the sampled directions only; it is the
@@ -547,11 +542,10 @@ def verify_variational_characterization(
 
     k = result.lambdas.size
     per_k = []
-    ok = True
     for j in range(1, k + 1):
         lam = result.lambdas[j - 1]
         tol = 1e-8 * (1.0 + abs(lam))
-        z = rng.standard_normal((pencil.n, samples))
+        z = rng.standard_normal((pencil.n, VARIATIONAL_SAMPLES))
         if j > 1:
             u_prev = result.vectors[:, : j - 1]
             active = np.abs(result.lambdas[: j - 1]) != 0.0
@@ -567,12 +561,12 @@ def verify_variational_characterization(
         sampled_min = float(np.min(quotients)) if quotients.size else attained
         sampled_min = min(sampled_min, attained)
         holds = sampled_min >= lam - tol and abs(attained - lam) <= tol
-        ok = ok and holds
         per_k.append(
             {"k": j, "lambda": float(lam), "sampled_min": sampled_min,
              "attained": attained, "holds": bool(holds)}
         )
-    return {"op": "variational_characterization", "holds": ok, "per_k": per_k}
+    return {"op": "variational_characterization", "holds": all(row["holds"] for row in per_k),
+            "per_k": per_k}
 
 
 @dataclass(frozen=True)
@@ -599,10 +593,12 @@ def sweep_alpha(pencil: MixedPencil, alphas, k: int) -> SweepTable:
         raise RequestError("alpha sweep needs at least one value")
     if not np.all(np.isfinite(alphas)):
         raise RequestError("alpha values must be finite")
-    results = [solve_spectrum(pencil.with_alpha(alpha), k) for alpha in alphas]
-    lams = np.array([res.lambdas for res in results])
+    # a generator, so that no result's vectors outlive the next solve
+    solves = (solve_spectrum(pencil.with_alpha(alpha), k) for alpha in alphas)
+    lams, gammas = zip(*[(res.lambdas, res.gamma) for res in solves])
+    lams = np.array(lams)
     return SweepTable(
-        alphas=alphas.copy(), gammas=np.array([res.gamma for res in results]),
+        alphas=alphas.copy(), gammas=np.array(gammas),
         lambdas=lams, signs=np.sign(lams[:, 0]).astype(int),
     )
 
@@ -626,8 +622,9 @@ def locate_threshold(pencil: MixedPencil) -> dict:
     c_h = embedding_constant(pencil)
     below = pencil.with_alpha((-1.0 - THRESHOLD_RTOL) / c_h)
     above = pencil.with_alpha((-1.0 + THRESHOLD_RTOL) / c_h)
-    indefinite_below = not _positive_definite(below.a_alpha)
-    definite_above = _positive_definite(above.a_alpha)
+    # fresh C-ordered symmetric matrices, each factored in place as its transpose
+    indefinite_below = not _positive_definite(scipy.linalg.toeplitz(below.column).T)
+    definite_above = _positive_definite(scipy.linalg.toeplitz(above.column).T)
     return {
         "minus_inv_c": -1.0 / c_h,
         "embedding_constant": c_h,

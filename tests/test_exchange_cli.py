@@ -267,6 +267,19 @@ class TestCliSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 74.5 GiB")])
+    def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch, command, error):
+        # an n x n allocation that does not fit is a runtime failure, not a traceback
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(spectral, "assemble_pencil", fail)
+        assert main([command, "--n", "7", "--alpha", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert str(error) in err and not list(tmp_path.iterdir())
+
     def test_certificate_report(self, tmp_path):
         # the variational block holds the inertia counts; --seed feeds nothing
         reports = []

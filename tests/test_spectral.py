@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ from mixspec import spectral
 from mixspec.cli import main
 from mixspec.interpolation import interpolation_gram
 from mixspec.spectral import THRESHOLD_RTOL, _count_below, _positive_definite
+
+
+def _peak_doubles(call) -> float:
+    """Peak traced allocation of call(), in doubles above the memory traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - before) / 8.0
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -83,13 +95,24 @@ class TestPencilAssembly:
                         + np.diag(np.full(n - 1, off), -1))
             assert np.array_equal(form.data, explicit) and not form.data.flags.writeable
 
-    def test_spectrum_path_builds_no_dense_local_form(self):
-        """Solving, certifying, sweeping and the threshold read A_loc and A_frac by column."""
-        pencil = assemble_pencil(build_mesh(0.0, 1.0, 31), 0.5, -3.0)
-        check_contract(solve_spectrum(pencil, 3), pencil)
-        sweep_alpha(pencil, [-30.0, 0.0, 2.0], 2)
-        locate_threshold(pencil)
-        assert "data" not in vars(pencil.a_loc) and "data" not in vars(pencil.a_frac)
+    def test_spectrum_path_keeps_no_dense_form(self):
+        """Solve and contract peak at B plus one transient n x n array.
+
+        The pencil holds columns only, so B, built on the first solve, is
+        the one dense array that outlives its reader.  A dense A_alpha, M or
+        certificate buffer kept for the request would add a whole n^2.  No
+        solve, sweep or threshold leaves a dense form on the pencil.
+        """
+        n = 255
+        for alpha in (-3.0, 0.0, 2.0):
+            pencil = assemble_pencil(build_mesh(0.0, 1.0, n), 0.5, alpha)
+            peak = _peak_doubles(lambda: check_contract(solve_spectrum(pencil, 5), pencil))
+            assert peak < 2.5 * n * n, alpha
+            sweep_alpha(pencil, [-30.0, 0.0], 2)
+            locate_threshold(pencil)
+            for holder in (pencil, pencil.a_loc, pencil.a_frac, pencil.mass):
+                assert all(value.size <= n for value in vars(holder).values()
+                           if isinstance(value, np.ndarray))
 
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
@@ -562,6 +585,16 @@ class TestSweepAndThreshold:
     def test_empty_grid(self, base63):
         with pytest.raises(RequestError):
             sweep_alpha(base63, [], 1)
+
+    def test_sweep_keeps_values_only(self):
+        """100 solves of all 63 pairs: the sweep keeps no result's vectors.
+
+        Kept results would hold 100 n k doubles of vectors alone.
+        """
+        n = k = 63
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, n), 0.5, 0.0)
+        alphas = np.linspace(-30.0, 10.0, 100)
+        assert _peak_doubles(lambda: sweep_alpha(pencil, alphas, k)) < 20 * n * k
 
     def test_threshold_identity(self, base63):
         th = locate_threshold(base63)
