@@ -293,6 +293,7 @@ def cmd_spectrum(cfg) -> int:
         "lambda_1": float(result.lambdas[0]),
         **{key: value for key, value in contract.items() if key != "holds"},
         "clusters": result.clusters,
+        "solver": result.solver,
     }
     exchange.write_json(out / "spectrum_report.json", report)
     if cfg.get("vectors"):

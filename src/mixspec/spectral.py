@@ -15,8 +15,19 @@ give, the pencil is congruent to the standard symmetric matrix
 
 with the same eigenvalues; an eigenvector y of E_alpha gives the pencil's
 S D y, M-orthonormal when y is orthonormal.  B is built once per assembled
-(mesh, s), on the first solve, and every ``with_alpha`` coupling shares it.
-Every eigensolve of this module is a standard one on such a matrix.
+(mesh, s), on the first solve that needs it, and every ``with_alpha``
+coupling shares it.
+
+Only the k lowest eigenpairs are asked for, so ``_lowest`` answers each
+request by the cheapest exact route and records which one it took.  At
+alpha = 0, E_0 = diag(l/m) is diagonal and l/m rises with theta, so the
+pairs are closed forms.  From n = SHIFT_INVERT_MIN_N on (and k <= n /
+SHIFT_INVERT_K_RATIO) shift-invert Lanczos runs on the Toeplitz pencil in
+the original basis: the shift is the floor of the Grenander-Szegoe symbol
+ratio, proved below lambda_1 by a Cholesky factor, and each step is two
+triangular solves with that factor, so neither route builds B.  Otherwise,
+and whenever the Cholesky fails, ARPACK fails or its pairs' backward error
+exceeds n eps, the standard dense eigensolve of E_alpha answers.
 
 The paper's proof device, the minimal shift gamma >= 0 making
 
@@ -25,13 +36,14 @@ The paper's proof device, the minimal shift gamma >= 0 making
 the discrete sharp version of the coercivity estimate
 B(u, u) + gamma ||u||^2 >= (1/2) ||u||_H^2, is reported with each
 spectrum.  Since A_alpha - A_loc/2 = A_(2 alpha)/2, gamma is
-max(0, -lambda_1(2 alpha)/2).  Both come from E_(2 alpha)/2 =
-diag(l/m)/2 + alpha B, which is congruent to A_alpha - A_loc/2: its exact
-zero is certified by one Cholesky attempt of that matrix (Sylvester
-inertia; it succeeds for every alpha >= 0), and only when that fails is
-its lambda_1 computed.  verify checks both against a dense eigensolve of
-(A_loc/2 - A_alpha, M).  The resolvent identity
-lambda_k = 1/mu_k - gamma, with mu_k the eigenvalues of
+max(0, -lambda_1(2 alpha)/2), and lambda_1(2 alpha)/2 is the lowest
+eigenvalue of the Toeplitz pencil (A_alpha - A_loc/2, M), congruent to
+E_(2 alpha)/2 = diag(l/m)/2 + alpha B.  gamma is 0 at alpha = 0;
+otherwise its exact zero is certified by one Cholesky attempt of the dense
+A_alpha - A_loc/2 (Sylvester inertia; it succeeds for every alpha > 0),
+and only when that fails is lambda_1 computed, by ``_lowest``.  verify
+checks both against a dense eigensolve of (A_loc/2 - A_alpha, M).  The
+resolvent identity lambda_k = 1/mu_k - gamma, with mu_k the eigenvalues of
 (A_alpha + gamma M)^{-1} M, is a check in the tests and the verify suite,
 not the solver.
 
@@ -105,6 +117,15 @@ CLUSTER_RTOL = 1e-7
 CONTRACT_FLAGS = ("m_orthonormality_holds", "b_orthogonality_holds", "residuals_hold",
                   "lower_bound_holds")
 THRESHOLD_RTOL = 1e-8  # |alpha* + 1/C_h| C_h
+# _lowest's shift-invert route runs from this n on, for k <= n / SHIFT_INVERT_K_RATIO.
+# Its time over the dense route's (assembly and solve_spectrum with gamma, k = 5;
+# 2-core Xeon, OpenBLAS on one thread; best of 5, two runs, s in {0.3, 0.7},
+# alpha in {-15, -0.5, 5}): 0.96-3.1 at n = 127, 1.3-1.6 at 255, 0.98-1.21 at
+# 383, 0.75-1.21 at 447, 0.75-0.91 at 511, 0.50-0.64 at 767.  In k the routes
+# tie near k = 16-20 at n = 511 and k = 50-64 at n = 1023.
+SHIFT_INVERT_MIN_N = 416
+SHIFT_INVERT_K_RATIO = 32
+_NOT_FINITE = "eigenvalues leave the floating-point range: the matrix is not finite"
 VARIATIONAL_SAMPLES = 1000  # random directions per k of verify_variational_characterization
 
 
@@ -252,23 +273,182 @@ def embedding_constant(pencil: MixedPencil) -> float:
     return pencil.basis.top(pencil.basis.weight)
 
 
-def gamma_shift(pencil: MixedPencil) -> float:
+def gamma_shift(pencil: MixedPencil, *, with_route: bool = False):
     """Minimal gamma >= 0 with A_alpha + gamma M - A_loc/2 >= 0.
 
     gamma is max(0, -lambda_1 of the excess pencil (A_alpha - A_loc/2, M)),
     whose eigenvalues are those of diag(l/m)/2 + alpha B = E_(2 alpha)/2.
-    That matrix is congruent to the excess, so when it has a Cholesky
-    factor, Sylvester inertia makes every eigenvalue positive and gamma is
-    exactly zero without an eigensolve.  This holds for every alpha >= 0,
-    where the fractional form is positive semidefinite.  Otherwise lambda_1
-    comes from the same matrix, built again.
+    At alpha = 0 the excess is A_loc/2, positive definite, and gamma is 0.
+    Otherwise one Cholesky attempt of the dense excess, built from its
+    column, comes first: when it succeeds, Sylvester inertia makes every
+    eigenvalue positive and gamma is exactly zero without an eigensolve.
+    This holds for every alpha > 0, where the fractional form is positive
+    semidefinite.  When it fails, lambda_1 comes from ``_lowest`` (k = 1).
+
+    With ``with_route`` it returns (gamma, route): the route of ``_lowest``,
+    or ``cholesky`` when the Cholesky attempt proved gamma = 0.
     """
-    # the attempt factors the C-ordered matrix in place, as its transpose
-    if _positive_definite(pencil.basis.coupled(pencil.alpha, 0.5).T):
-        return 0.0
-    reduced = pencil.basis.coupled(pencil.alpha, 0.5)
-    lowest = _eigh_subset(reduced, 0, 0, eigvals_only=True, overwrite_a=True)[0]
-    return max(0.0, -float(lowest))
+    alpha = pencil.alpha
+    if alpha == 0.0:
+        gamma, route = 0.0, _route("closed_form")
+    else:
+        column = 0.5 * pencil.a_loc.column + alpha * pencil.a_frac.column
+        # a fresh C-ordered symmetric matrix, factored in place as its transpose
+        if _positive_definite(scipy.linalg.toeplitz(column).T):
+            gamma, route = 0.0, _route("cholesky")
+        else:
+            lowest, _, route = _lowest(pencil, 1, 0.5, column, vectors=False)
+            gamma = max(0.0, -float(lowest[0]))
+    return (gamma, route) if with_route else gamma
+
+
+def _route(name: str, shift: float | None = None, fallback: str | None = None) -> dict:
+    """How one eigenvalue question was answered, as the spectrum report records it."""
+    return {"route": name, "shift": shift, "fallback": fallback}
+
+
+def _lowest(pencil: MixedPencil, k: int, diagonal: float, column: np.ndarray, *,
+            vectors: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
+    """The k lowest eigenpairs of (diagonal A_loc + alpha A_frac, M), and the route taken.
+
+    ``column`` is the Toeplitz column of diagonal A_loc + alpha A_frac.
+    Values ascend; vectors, when asked for, are M-orthonormal in the
+    original basis.  Three routes, in this order:
+
+    * ``closed_form`` at alpha = 0: the reduced matrix is diagonal * diag(l/m)
+      and l/m rises with theta, so the pairs are its first k entries and the
+      columns S D e_j.  No B is built.
+    * ``shift_invert`` (``_shift_invert``) from n = SHIFT_INVERT_MIN_N on,
+      for k up to n / SHIFT_INVERT_K_RATIO.  No B is built.
+    * ``dense``: the standard eigensolve of diagonal diag(l/m) + alpha B.  It
+      is also the fallback when the shift-invert route fails; the route
+      then records the shift it tried and why it failed.
+    """
+    basis, n = pencil.basis, pencil.n
+    if pencil.alpha == 0.0:
+        if not np.isfinite(basis.ratio).all():
+            raise AccuracyError(_NOT_FINITE)
+        found = basis.vectors(np.eye(n, k)) if vectors else None
+        return diagonal * basis.ratio[:k], found, _route("closed_form")
+    route = _route("dense")
+    if n >= SHIFT_INVERT_MIN_N and k * SHIFT_INVERT_K_RATIO <= n:
+        found, route["shift"], route["fallback"] = _shift_invert(column, pencil.mass.column, k)
+        if found is not None:
+            route["route"] = "shift_invert"
+            return (*found, route)
+    reduced = basis.coupled(pencil.alpha, diagonal)
+    if not vectors:
+        return _eigh_subset(reduced, 0, k - 1, eigvals_only=True, overwrite_a=True), None, route
+    lambdas, reduced_vectors = _eigh_subset(reduced, 0, k - 1, overwrite_a=True)
+    del reduced
+    return lambdas, basis.vectors(reduced_vectors), route
+
+
+def _symbol_floor(column: np.ndarray, mass_column: np.ndarray) -> float:
+    """A shift just below every eigenvalue of (toeplitz(column), M), or a candidate for one.
+
+    toeplitz(c) has the symbol f_c(t) = c_0 + 2 sum_j c_j cos(j t), and
+    u^T toeplitz(c) u is the integral of f_c |u^(t)|^2, so every eigenvalue
+    of the pencil lies in the range of f_column/f_M (Grenander and Szegoe
+    1958; f_M = h (2 + cos t)/3 > 0).  The range is taken over a 16 n-point
+    grid, one ``rfft`` of each column, so its minimum may lie above the true
+    one: the returned min - 1e-8 (max - min) is proved below lambda_1 only
+    by the Cholesky factor of ``_shift_invert``.  The offset is scaled by
+    the range, not by a fixed unit, so that the shift stays within the
+    spectrum's own scale on any domain: a shift far outside it leaves the
+    eigenvalues of the shifted operator equal to rounding.
+    """
+    size = 16 * column.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        symbol = 2.0 * scipy.fft.rfft(column, size).real - column[0]
+        mass = 2.0 * scipy.fft.rfft(mass_column, size).real - mass_column[0]
+        ratio = symbol / mass
+        low = float(np.min(ratio))
+        return low - 1e-8 * (float(np.max(ratio)) - low)
+
+
+def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
+    """The k lowest eigenpairs of (toeplitz(column), M) by shift-invert Lanczos.
+
+    Returns ``(lambdas, vectors)`` or None, the shift, and why it is None.
+    The shift sigma is ``_symbol_floor``.  A Cholesky factor of
+    toeplitz(column - sigma M column) proves sigma < lambda_1 (Sylvester
+    inertia), so the k largest eigenvalues 1/(lambda - sigma) of the
+    operator (A - sigma M)^-1 M, which ARPACK's implicitly restarted Lanczos
+    finds in the M inner product (Grimes, Lewis and Simon 1994), are the k
+    lowest of the pencil; their vectors come out M-orthonormal.  M is
+    applied by its three-term stencil and the operator by two triangular
+    solves, so no B and no dense M is built.  The start vector is fixed, so
+    the result is a function of the inputs; it is a ramp, not the constant
+    vector: the pencil commutes with the flip of the mesh, and a flip-even
+    start would reach the flip-odd eigenvectors through rounding only.
+    Lanczos can still miss one copy of a near-multiple eigenvalue;
+    ``certify_spectrum``'s inertia count then fails, so the miss never
+    passes silently.
+    """
+    shift = _symbol_floor(column, mass_column)
+    if not math.isfinite(shift):
+        return None, None, "the symbol floor is not finite"
+    shifted = scipy.linalg.toeplitz(mass_column * -shift + column)
+    try:
+        # C-ordered and symmetric, so its transpose is factored in place
+        factor = scipy.linalg.cho_factor(shifted.T, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None, shift, "no Cholesky factor at the shift: it is not below lambda_1"
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = column.size
+
+    def operator(matvec):
+        return LinearOperator((n, n), matvec=matvec, dtype=float)
+
+    try:
+        # in shift-invert mode ARPACK applies only M and the inverse; A gives the shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            lambdas, vectors = eigsh(
+                operator(lambda x: scipy.linalg.matmul_toeplitz(column, x)), k,
+                M=operator(lambda x: _mass_times(mass_column, x)), sigma=shift,
+                OPinv=operator(lambda x: scipy.linalg.cho_solve(factor, x, check_finite=False)),
+                v0=np.linspace(1.0, 2.0, n))
+    except ArpackError as exc:  # ArpackNoConvergence among them
+        return None, shift, f"ARPACK: {exc}"
+    # ARPACK converges on the shifted operator, not on the pencil.  A backward
+    # error at the rounding level of a dense solve bounds each value's error
+    # by about certify_spectrum's margin; NaN fails the test too
+    error = _backward_error(column, mass_column, lambdas, vectors)
+    if not error <= n * np.finfo(float).eps:
+        return None, shift, f"backward error {error:.3g} of the Lanczos pairs exceeds n eps"
+    order = np.argsort(lambdas)
+    return (lambdas[order], vectors[:, order]), shift, None
+
+
+def _backward_error(column: np.ndarray, mass_column: np.ndarray, lambdas: np.ndarray,
+                    vectors: np.ndarray) -> float:
+    """Largest normwise backward error of the pairs as eigenpairs of (toeplitz(column), M).
+
+    max_j ||A u_j - lambda_j M u_j|| / ((||A|| + |lambda_j| ||M||) ||u_j||), each
+    Toeplitz norm bounded by the absolute sum of its two-sided column; NaN
+    when a norm is not finite.  The products are FFT Toeplitz products and
+    the three-term stencil, O(n log n) per pair.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_norm = 2.0 * np.sum(np.abs(column)) - abs(column[0])
+        m_norm = 2.0 * np.sum(np.abs(mass_column)) - abs(mass_column[0])
+        residual = (scipy.linalg.matmul_toeplitz(column, vectors, check_finite=False)
+                    - _mass_times(mass_column, vectors) * lambdas)
+        scale = (a_norm + np.abs(lambdas) * m_norm) * np.linalg.norm(vectors, axis=0)
+        if not np.isfinite(scale).all():
+            return math.nan
+        return float(np.max(np.linalg.norm(residual, axis=0) / scale))
+
+
+def _mass_times(column: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """M z by the three-term stencil of M's column, z a vector or columnwise."""
+    product = column[0] * z
+    if z.shape[0] > 1:
+        product[1:] += column[1] * z[:-1]
+        product[:-1] += column[1] * z[1:]
+    return product
 
 
 def _positive_definite(matrix: np.ndarray) -> bool:
@@ -293,7 +473,7 @@ def _eigh_subset(a: np.ndarray, lo: int, hi: int, **kwargs):
     copy.
     """
     if not np.isfinite(a).all():
-        raise AccuracyError("eigenvalues leave the floating-point range: the matrix is not finite")
+        raise AccuracyError(_NOT_FINITE)
     if a.flags.c_contiguous:
         a = a.T
     try:
@@ -310,13 +490,19 @@ def _eigh_subset(a: np.ndarray, lo: int, hi: int, **kwargs):
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenpairs of (A_alpha, M), ascending, M-orthonormal columns."""
+    """Eigenpairs of (A_alpha, M), ascending, M-orthonormal columns.
+
+    ``solver`` records how the spectrum and gamma were found: for each, the
+    route of ``_lowest`` (or gamma's ``cholesky``), the shift-invert shift
+    tried and the reason it fell back.
+    """
 
     lambdas: np.ndarray
     vectors: np.ndarray
     gamma: float
     residuals: np.ndarray
     cluster_ids: np.ndarray
+    solver: dict
 
     def __post_init__(self):
         for name in ("lambdas", "vectors", "residuals", "cluster_ids"):
@@ -337,20 +523,19 @@ class SpectrumResult:
 def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
     """First k eigenpairs of the definite pencil A_alpha u = lambda M u.
 
-    The k smallest eigenpairs of the standard matrix E_alpha, whatever the
-    sign of alpha, mapped back by S D.  gamma = gamma_shift(pencil) is
-    computed alongside and reported.  Eigenvectors are returned
+    The k smallest eigenpairs by ``_lowest``, whatever the sign of alpha:
+    in closed form at alpha = 0, by shift-invert Lanczos on the Toeplitz
+    pencil at large n, and otherwise from the standard matrix E_alpha,
+    mapped back by S D.  gamma = gamma_shift(pencil) is computed alongside
+    and reported; ``solver`` records both routes.  Eigenvectors are returned
     M-orthonormal with the sign fixed so the entry of largest magnitude is
     positive.  Residuals use a transient dense A_alpha, then M.
     """
     n = pencil.n
     if not 1 <= k <= n:
         raise RequestError(f"requested {k} eigenpairs from an n={n} pencil")
-    gamma = gamma_shift(pencil)
-    reduced = pencil.basis.coupled(pencil.alpha)
-    lambdas, reduced_vectors = _eigh_subset(reduced, 0, k - 1, overwrite_a=True)
-    del reduced
-    vectors = pencil.basis.vectors(reduced_vectors)
+    gamma, gamma_route = gamma_shift(pencil, with_route=True)
+    lambdas, vectors, route = _lowest(pencil, k, 1.0, pencil.column, vectors=True)
     # sign convention: entry of largest magnitude positive
     lead = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[lead, np.arange(k)])
@@ -364,7 +549,7 @@ def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
         cluster_ids[j] = cluster_ids[j - 1] + (0 if close else 1)
     return SpectrumResult(
         lambdas=lambdas, vectors=vectors, gamma=gamma, residuals=residuals,
-        cluster_ids=cluster_ids,
+        cluster_ids=cluster_ids, solver={"spectrum": route, "gamma": gamma_route},
     )
 
 
@@ -532,14 +717,6 @@ def verify_variational_characterization(result: SpectrumResult, pencil: MixedPen
     a_mat = pencil.a_alpha
     mass = pencil.mass.data
     column = pencil.mass.column
-
-    def mass_times(z):
-        product = column[0] * z
-        if z.shape[0] > 1:
-            product[1:] += column[1] * z[:-1]
-            product[:-1] += column[1] * z[1:]
-        return product
-
     k = result.lambdas.size
     per_k = []
     for j in range(1, k + 1):
@@ -551,9 +728,9 @@ def verify_variational_characterization(result: SpectrumResult, pencil: MixedPen
             active = np.abs(result.lambdas[: j - 1]) != 0.0
             basis = u_prev[:, active]
             if basis.size:
-                z = z - basis @ (basis.T @ mass_times(z))
+                z = z - basis @ (basis.T @ _mass_times(column, z))
         num = np.einsum("ij,ij->j", z, a_mat @ z)
-        den = np.einsum("ij,ij->j", z, mass_times(z))
+        den = np.einsum("ij,ij->j", z, _mass_times(column, z))
         good = den > 1e-12 * np.max(den)
         quotients = num[good] / den[good]
         u_k = result.vectors[:, j - 1]

@@ -304,7 +304,7 @@ class TestCliSpectrum:
         assert set(report) == {
             "op", "inputs", "gamma", "lambda_1", "m_orthonormality_error",
             "m_orthonormality_holds", "b_orthogonality_error", "b_orthogonality_holds",
-            "residuals_hold", "lower_bound_holds", "variational", "clusters",
+            "residuals_hold", "lower_bound_holds", "variational", "clusters", "solver",
         }
 
 
@@ -445,12 +445,30 @@ class TestNumericFlagFuzz:
                           "--out", str(tmp_path)], capsys)
         assert code == self._seed_exit(seed)
 
-    @settings(max_examples=40, deadline=None,
+    @staticmethod
+    def _at_most_64(token):
+        """False only for a token that parses as an int above 64."""
+        try:
+            return int(token) <= 64
+        except ValueError:
+            return True
+
+    @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(s=st.one_of(NUMBER, st.floats(0.0, 1.0).map(repr)))
-    def test_assemble(self, tmp_path, capsys, s):
-        # the float draws reach s near 0 and 1, subnormal s included
-        self._run(["assemble", "--n", "3", "--s", s, "--out", str(tmp_path)], capsys)
+    @given(s=st.one_of(NUMBER, st.floats(0.0, 1.0).map(repr)),
+           n=st.one_of(st.just("3"), st.integers(-3, 64).map(str), NUMBER.filter(_at_most_64)),
+           domain=st.one_of(st.just(("0", "1")), st.tuples(NUMBER, NUMBER),
+                            st.tuples(st.floats(allow_nan=False).map(repr),
+                                      st.floats(allow_nan=False).map(repr))))
+    @example(s="0.5", n="-1", domain=("0", "1"))
+    @example(s="0.5", n="8", domain=("0", "1e-300"))
+    def test_assemble(self, tmp_path, capsys, s, n, domain):
+        # the float draws reach s near 0 and 1, subnormal s included.  n stays
+        # at most 64: assemble writes three dense n x n text files (about
+        # 450 MB at n = 4096), and a huge n asks for an n x n array that
+        # cannot be allocated (n = 99999999 wants 71 PiB and exits 1)
+        self._run(["assemble", "--n", n, "--s", s, "--domain", *domain,
+                   "--out", str(tmp_path)], capsys)
 
 
 class TestCliKfunc:

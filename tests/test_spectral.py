@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mixspec import (
@@ -316,6 +316,136 @@ class TestSineBasis:
         mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
         excess_margin = n * np.finfo(float).eps * np.linalg.norm(excess, 1) / mass_min
         assert res.gamma == pytest.approx(max(0.0, top), rel=1e-12, abs=excess_margin)
+
+
+@pytest.fixture
+def shift_invert_everywhere(monkeypatch):
+    """The shift-invert route at every n and for every k up to n/2."""
+    monkeypatch.setattr(spectral, "SHIFT_INVERT_MIN_N", 1)
+    monkeypatch.setattr(spectral, "SHIFT_INVERT_K_RATIO", 2)
+
+
+def _builds_no_b(pencil) -> bool:
+    return "fractional" not in vars(pencil.basis)
+
+
+class TestShiftInvert:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(min_value=8, max_value=300),
+           s=st.floats(min_value=0.05, max_value=0.95),
+           alpha=st.floats(min_value=-50.0, max_value=50.0).filter(lambda a: a != 0.0),
+           data=st.data())
+    @example(n=300, s=0.95, alpha=-50.0, data=None)
+    def test_matches_dense_generalized_solve(self, shift_invert_everywhere, n, s, alpha, data):
+        k = 4 if data is None else data.draw(st.integers(min_value=1, max_value=min(n // 2, 6)))
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, n), s, alpha)
+        res = solve_spectrum(pencil, k)
+        assert res.solver["spectrum"]["route"] == "shift_invert"
+        assert res.solver["gamma"]["route"] in ("cholesky", "shift_invert")
+        assert _builds_no_b(pencil)
+        contract = check_contract(res, pencil)
+        assert contract["holds"]
+        mass = pencil.mass.data
+        dense = scipy.linalg.eigh(pencil.a_alpha, mass, eigvals_only=True)[:k]
+        margin = contract["variational"]["margin"]
+        tol = np.maximum(1e-10 * (1.0 + np.abs(dense)), margin)
+        assert np.all(np.abs(res.lambdas - dense) <= tol)
+        top = scipy.linalg.eigh(0.5 * pencil.a_loc.data - pencil.a_alpha, mass,
+                                eigvals_only=True)[-1]
+        assert abs(res.gamma - max(0.0, top)) <= max(1e-10 * (1.0 + abs(top)), margin)
+
+    @pytest.mark.parametrize("n, alpha", [(spectral.SHIFT_INVERT_MIN_N, -3.0),
+                                          (spectral.SHIFT_INVERT_MIN_N, 2.0), (1, 0.0), (63, 0.0)])
+    def test_builds_no_b(self, n, alpha):
+        # from the crossover n on, and at alpha = 0 at any n, no solve needs B
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, n), 0.5, alpha)
+        res = solve_spectrum(pencil, min(n, 5))
+        check_contract(res, pencil)
+        assert res.solver["spectrum"]["route"] == ("closed_form" if alpha == 0.0 else "shift_invert")
+        assert _builds_no_b(pencil)
+
+    def test_traced_peak(self, monkeypatch):
+        """The shift-invert route peaks at one transient n x n array.
+
+        Measured 1.30 n^2 doubles at n = 255 (1.28 n^2 at alpha = 2), against
+        2.29 n^2 on the dense route: each factored shift, the residuals'
+        dense forms and the certificate's shifted matrices are built one at
+        a time and dropped, and no B is built, which would add a whole n^2.
+        The bound is 1.5 n^2, within the dense route's 2.5 n^2.
+        """
+        n = 255
+        monkeypatch.setattr(spectral, "SHIFT_INVERT_MIN_N", n)
+        # the first solve imports scipy.sparse.linalg, whose modules would count
+        solve_spectrum(assemble_pencil(build_mesh(0.0, 1.0, n), 0.5, -3.0), 1)
+        for alpha in (-3.0, 2.0):
+            pencil = assemble_pencil(build_mesh(0.0, 1.0, n), 0.5, alpha)
+            result = []
+            peak = _peak_doubles(lambda: result.append(
+                check_contract(solve_spectrum(pencil, 5), pencil)))
+            assert result[0]["holds"] and peak < 1.5 * n * n, (alpha, peak / n**2)
+
+    def test_alpha_zero_closed_form_gamma(self):
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, 31), 0.5, 0.0)
+        assert gamma_shift(pencil, with_route=True) == (
+            0.0, {"route": "closed_form", "shift": None, "fallback": None})
+        assert _builds_no_b(pencil)
+
+    def test_shift_above_lambda_1_falls_back(self, shift_invert_everywhere, monkeypatch):
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, 63), 0.4, -3.0)
+        dense = solve_spectrum(pencil, 3)
+        shift = float(dense.lambdas[0]) + 1.0
+        monkeypatch.setattr(spectral, "_symbol_floor", lambda column, mass_column: shift)
+        res = solve_spectrum(pencil, 3)
+        for route in res.solver.values():
+            assert route["route"] == "dense" and route["shift"] == shift
+            assert route["fallback"].startswith("no Cholesky factor at the shift")
+        monkeypatch.setattr(spectral, "SHIFT_INVERT_MIN_N", 10**9)
+        assert np.array_equal(res.lambdas, solve_spectrum(pencil, 3).lambdas)
+        assert check_contract(res, pencil)["holds"]
+
+    def test_arpack_no_convergence_falls_back(self, shift_invert_everywhere, monkeypatch):
+        import scipy.sparse.linalg
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                          np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, 63), 0.4, -3.0)
+        res = solve_spectrum(pencil, 3)
+        for route in res.solver.values():
+            assert route["route"] == "dense" and route["fallback"].startswith("ARPACK: ")
+            assert math.isfinite(route["shift"])
+        assert check_contract(res, pencil)["holds"]
+
+    def test_rounding_noise_is_not_accepted(self):
+        # on (0, 1e200) the eigenvalues are near 1e-199 and the mass entries
+        # near 1e197; Lanczos converges on its shifted operator to pairs whose
+        # backward error is about 0.3, and the dense route answers instead
+        pencil = assemble_pencil(build_mesh(0.0, 1e200, spectral.SHIFT_INVERT_MIN_N), 0.5, 1.0)
+        res = solve_spectrum(pencil, 2)
+        route = res.solver["spectrum"]
+        assert route["route"] == "dense" and route["fallback"].startswith("backward error")
+        assert check_contract(res, pencil)["holds"]
+
+    @pytest.mark.parametrize("dropped", range(5))
+    def test_missed_copy_of_a_near_double_fails(self, shift_invert_everywhere, dropped):
+        # here the lowest eigenvalues come in pairs 1e-8 to 1e-5 apart
+        # (relative); Lanczos finds both copies, and a result that missed
+        # one copy, as Lanczos can, fails the certificate's inertia count
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, 63), 0.3, -305.0)
+        res = solve_spectrum(pencil, 6)
+        dense = scipy.linalg.eigh(pencil.a_alpha, pencil.mass.data, eigvals_only=True)[:6]
+        assert res.solver["spectrum"]["route"] == "shift_invert"
+        assert np.min(np.diff(dense) / (1.0 + np.abs(dense[1:]))) < 2e-8
+        assert check_contract(res, pencil)["holds"]
+        kept = [j for j in range(6) if j != dropped]
+        missed = dataclasses.replace(res, lambdas=res.lambdas[kept], vectors=res.vectors[:, kept],
+                                     residuals=res.residuals[kept])
+        rep = certify_spectrum(missed, pencil)
+        assert all(row["holds"] for row in rep["per_k"])
+        assert rep["below_upper"] == 6 and not rep["holds"]
 
 
 class TestContinuumBaseline:
