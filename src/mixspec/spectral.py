@@ -386,6 +386,10 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
     ``certify_spectrum``'s inertia count then fails, so the miss never
     passes silently.
     """
+    # imported where it solves, so that importing mixspec.cli loads no
+    # scipy.sparse, and before the n x n factor is allocated (less heap growth)
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     shift = _symbol_floor(column, mass_column)
     if not math.isfinite(shift):
         return None, None, "the symbol floor is not finite"
@@ -395,8 +399,6 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
         factor = scipy.linalg.cho_factor(shifted.T, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError:
         return None, shift, "no Cholesky factor at the shift: it is not below lambda_1"
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
     n = column.size
 
     def operator(matvec):
