@@ -355,14 +355,19 @@ class TestShiftInvert:
                                 eigvals_only=True)[-1]
         assert abs(res.gamma - max(0.0, top)) <= max(1e-10 * (1.0 + abs(top)), margin)
 
-    @pytest.mark.parametrize("n, alpha", [(spectral.SHIFT_INVERT_MIN_N, -3.0),
-                                          (spectral.SHIFT_INVERT_MIN_N, 2.0), (1, 0.0), (63, 0.0)])
-    def test_builds_no_b(self, n, alpha):
+    @pytest.mark.parametrize("n, alpha, gamma_route", [
+        (spectral.SHIFT_INVERT_MIN_N, -3.0, "shift_invert"),
+        (spectral.SHIFT_INVERT_MIN_N, 2.0, "cholesky"),
+        (1, 0.0, "closed_form"), (63, 0.0, "closed_form")])
+    def test_builds_no_b(self, n, alpha, gamma_route):
         # from the crossover n on, and at alpha = 0 at any n, no solve needs B
         pencil = assemble_pencil(build_mesh(0.0, 1.0, n), 0.5, alpha)
         res = solve_spectrum(pencil, min(n, 5))
         check_contract(res, pencil)
-        assert res.solver["spectrum"]["route"] == ("closed_form" if alpha == 0.0 else "shift_invert")
+        route = "closed_form" if alpha == 0.0 else "shift_invert"
+        assert res.solver["spectrum"]["route"] == route
+        assert res.solver["gamma"]["route"] == gamma_route
+        assert all(found["fallback"] is None for found in res.solver.values())
         assert _builds_no_b(pencil)
 
     def test_traced_peak(self, monkeypatch):
@@ -384,12 +389,6 @@ class TestShiftInvert:
             peak = _peak_doubles(lambda: result.append(
                 check_contract(solve_spectrum(pencil, 5), pencil)))
             assert result[0]["holds"] and peak < 1.5 * n * n, (alpha, peak / n**2)
-
-    def test_alpha_zero_closed_form_gamma(self):
-        pencil = assemble_pencil(build_mesh(0.0, 1.0, 31), 0.5, 0.0)
-        assert gamma_shift(pencil, with_route=True) == (
-            0.0, {"route": "closed_form", "shift": None, "fallback": None})
-        assert _builds_no_b(pencil)
 
     def test_shift_above_lambda_1_falls_back(self, shift_invert_everywhere, monkeypatch):
         pencil = assemble_pencil(build_mesh(0.0, 1.0, 63), 0.4, -3.0)
