@@ -446,8 +446,10 @@ def _frontier_norms(mu, coords, s: float, p: float, variant: str) -> np.ndarray:
     corners x < 1/R(0) and x > 1/R(inf) in closed form.  K2 is the frontier
     point w = x^2 (K2^2 = ||g||_X^2 + w ||h||_Y^2, dx/x = du/2); its sum is
     continued past both ends as geometric series, where K2 is x ||f||_Y or
-    ||f||_X to rounding.  For p = inf the grid maximizer is refined by
-    solving d log K / d log x = H = s between its neighbours.
+    ||f||_X to rounding.  For p = inf every interior local maximum of the
+    grid profile is refined by solving d log K / d log x = H = s between its
+    neighbours, and the largest refined value is kept: two peaks can nearly
+    tie, and the grid can rank them wrongly.
     """
     if variant not in ("K", "K2"):
         raise ParameterError(f"variant must be 'K' or 'K2', got {variant!r}")
@@ -478,16 +480,28 @@ def _frontier_norms(mu, coords, s: float, p: float, variant: str) -> np.ndarray:
     top = np.maximum(np.max(profile, axis=1), np.maximum(edge_lo, edge_hi))
 
     if p == math.inf:
+        def refined(c2, j):
+            """log profile at the root of s - H between grid points j - 1 and j + 1, lane by lane."""
+            def s_minus_h(v):
+                g2, h2, d = _frontier(mu[:, None], c2, v)
+                h = 1.0 / (1.0 + g2 * np.exp(-v) / h2)
+                return s - h, h * (1.0 - h) * (1.0 - 2.0 * d)
+
+            v = _solve(s_minus_h, u[j], u[j - 1], u[j + 1])
+            g2, h2, _ = _frontier(mu[:, None], c2, v)
+            return log_profile(g2, h2, v)
+
+        # the argmax first, in one solve over the lanes, then any other local
+        # maxima in a second one, so that a single peak keeps its Newton steps
         j = np.clip(np.argmax(profile, axis=1), 1, u.size - 2)
-
-        def s_minus_h(v):
-            g2, h2, d = _frontier(mu[:, None], c2, v)
-            h = 1.0 / (1.0 + g2 * np.exp(-v) / h2)
-            return s - h, h * (1.0 - h) * (1.0 - 2.0 * d)
-
-        v = _solve(s_minus_h, u[j], u[j - 1], u[j + 1])
-        g2, h2, _ = _frontier(mu[:, None], c2, v)
-        out[live] = np.exp(np.maximum(top, log_profile(g2, h2, v)))
+        best = np.maximum(top, refined(c2, j))
+        inner = profile[:, 1:-1]
+        peaks = (inner > profile[:, :-2]) & (inner >= profile[:, 2:])
+        peaks[np.arange(j.size), j - 1] = False
+        lane, other = np.nonzero(peaks)
+        if lane.size:
+            np.maximum.at(best, lane, refined(c2[:, lane], other + 1))
+        out[live] = np.exp(best)
         return out
 
     terms = np.exp(p * (profile - top[:, None]))

@@ -38,23 +38,26 @@ B(u, u) + gamma ||u||^2 >= (1/2) ||u||_H^2, is reported with each
 spectrum.  Since A_alpha - A_loc/2 = A_(2 alpha)/2, gamma is
 max(0, -lambda_1(2 alpha)/2), and lambda_1(2 alpha)/2 is the lowest
 eigenvalue of the Toeplitz pencil (A_alpha - A_loc/2, M), congruent to
-E_(2 alpha)/2 = diag(l/m)/2 + alpha B.  gamma is 0 at alpha = 0;
-otherwise its exact zero is certified by one Cholesky attempt of the dense
-A_alpha - A_loc/2 (Sylvester inertia; it succeeds for every alpha > 0),
-and only when that fails is lambda_1 computed, by ``_lowest``.  verify
-checks both against a dense eigensolve of (A_loc/2 - A_alpha, M).  The
-resolvent identity lambda_k = 1/mu_k - gamma, with mu_k the eigenvalues of
-(A_alpha + gamma M)^{-1} M, is a check in the tests and the verify suite,
-not the solver.
+E_(2 alpha)/2 = diag(l/m)/2 + alpha B.  For alpha >= 0 gamma is 0 in
+closed form (A_loc is positive definite and A_frac positive semidefinite);
+for alpha < 0 lambda_1 is computed, by ``_lowest``.  The contract's lower
+bound and verify's dense eigensolve of (A_loc/2 - A_alpha, M) check both
+independently.  The resolvent identity lambda_k = 1/mu_k - gamma, with mu_k
+the eigenvalues of (A_alpha + gamma M)^{-1} M, is a check in the tests and
+the verify suite, not the solver.
 
 Every result is checked in the original basis, by a route independent of
-the solve: residuals, orthonormality and the certificate use dense A_alpha
-and M, each built from its column for one product and then dropped.  That
-lambda_1..lambda_k are the k smallest eigenvalues, the min-max
+the solve and without a dense A_alpha or M: residuals, orthonormality and
+the attained quotients multiply by M's three-term stencil and by A_alpha as
+A_loc's stencil plus an FFT Toeplitz product of A_frac (``_pencil_times``).
+That lambda_1..lambda_k are the k smallest eigenvalues, the min-max
 characterization, is certified by Sylvester inertia
-(``certify_spectrum``): a Cholesky factor just below lambda_1 and a
-Bunch-Kaufman LDL^T count just above lambda_k prove it for every direction
-at once.  The sampled Rayleigh-quotient check
+(``certify_spectrum``): a Cholesky factor just below lambda_1 and an LDL^T
+count just above lambda_k prove it for every direction at once.  When the
+shifted matrices are tridiagonal (alpha = 0) both run in O(n) on the
+column; otherwise each is a dense LAPACK factorization (Cholesky and
+Bunch-Kaufman), the one place the checks build an n x n matrix.
+The sampled Rayleigh-quotient check
 ``verify_variational_characterization`` stays as the independent randomized
 route of the tests and the verify suite.  ``check_contract`` is the one
 statement of the spectrum contract, with its tolerances; the CLI and the
@@ -278,27 +281,22 @@ def gamma_shift(pencil: MixedPencil, *, with_route: bool = False):
 
     gamma is max(0, -lambda_1 of the excess pencil (A_alpha - A_loc/2, M)),
     whose eigenvalues are those of diag(l/m)/2 + alpha B = E_(2 alpha)/2.
-    At alpha = 0 the excess is A_loc/2, positive definite, and gamma is 0.
-    Otherwise one Cholesky attempt of the dense excess, built from its
-    column, comes first: when it succeeds, Sylvester inertia makes every
-    eigenvalue positive and gamma is exactly zero without an eigensolve.
-    This holds for every alpha > 0, where the fractional form is positive
-    semidefinite.  When it fails, lambda_1 comes from ``_lowest`` (k = 1).
+    For alpha >= 0 gamma is 0 in closed form: the excess is A_loc/2, positive
+    definite, plus alpha A_frac, positive semidefinite.  For alpha < 0,
+    lambda_1 comes from ``_lowest`` (k = 1).  A Cholesky attempt of the
+    excess would prove gamma = 0 only for -1/(2 C_h) < alpha < 0, and can
+    run nearly to the end before it fails, so none is made.
 
-    With ``with_route`` it returns (gamma, route): the route of ``_lowest``,
-    or ``cholesky`` when the Cholesky attempt proved gamma = 0.
+    With ``with_route`` it returns (gamma, route): ``closed_form`` for
+    alpha >= 0, otherwise the route of ``_lowest``.
     """
     alpha = pencil.alpha
-    if alpha == 0.0:
+    if alpha >= 0.0:
         gamma, route = 0.0, _route("closed_form")
     else:
         column = 0.5 * pencil.a_loc.column + alpha * pencil.a_frac.column
-        # a fresh C-ordered symmetric matrix, factored in place as its transpose
-        if _positive_definite(scipy.linalg.toeplitz(column).T):
-            gamma, route = 0.0, _route("cholesky")
-        else:
-            lowest, _, route = _lowest(pencil, 1, 0.5, column, vectors=False)
-            gamma = max(0.0, -float(lowest[0]))
+        lowest, _, route = _lowest(pencil, 1, 0.5, column, vectors=False)
+        gamma = max(0.0, -float(lowest[0]))
     return (gamma, route) if with_route else gamma
 
 
@@ -409,7 +407,7 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
         with np.errstate(over="ignore", invalid="ignore"):
             lambdas, vectors = eigsh(
                 operator(lambda x: scipy.linalg.matmul_toeplitz(column, x)), k,
-                M=operator(lambda x: _mass_times(mass_column, x)), sigma=shift,
+                M=operator(lambda x: _stencil_times(mass_column, x)), sigma=shift,
                 OPinv=operator(lambda x: scipy.linalg.cho_solve(factor, x, check_finite=False)),
                 v0=np.linspace(1.0, 2.0, n))
     except ArpackError as exc:  # ArpackNoConvergence among them
@@ -437,20 +435,47 @@ def _backward_error(column: np.ndarray, mass_column: np.ndarray, lambdas: np.nda
         a_norm = 2.0 * np.sum(np.abs(column)) - abs(column[0])
         m_norm = 2.0 * np.sum(np.abs(mass_column)) - abs(mass_column[0])
         residual = (scipy.linalg.matmul_toeplitz(column, vectors, check_finite=False)
-                    - _mass_times(mass_column, vectors) * lambdas)
+                    - _stencil_times(mass_column, vectors) * lambdas)
         scale = (a_norm + np.abs(lambdas) * m_norm) * np.linalg.norm(vectors, axis=0)
         if not np.isfinite(scale).all():
             return math.nan
         return float(np.max(np.linalg.norm(residual, axis=0) / scale))
 
 
-def _mass_times(column: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """M z by the three-term stencil of M's column, z a vector or columnwise."""
+def _stencil_times(column: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """toeplitz(column) z for a tridiagonal column (M or A_loc), z a vector or columnwise."""
     product = column[0] * z
     if z.shape[0] > 1:
         product[1:] += column[1] * z[:-1]
         product[:-1] += column[1] * z[1:]
     return product
+
+
+def _pencil_times(pencil: MixedPencil, z: np.ndarray) -> np.ndarray:
+    """A_alpha z without a dense A_alpha, z a vector or columnwise.
+
+    A_alpha's own three-term stencil when its column is zero past index 1
+    (alpha = 0, or n <= 2); otherwise A_loc's stencil plus alpha times an
+    FFT Toeplitz product of A_frac.  The stencil keeps the local part exact,
+    so the product stays at the rounding level of a dense one; an FFT
+    product of the whole A_alpha would carry the rounding of its largest
+    entries into every component.
+    """
+    if not np.any(pencil.column[2:]):
+        return _stencil_times(pencil.column, z)
+    return _stencil_times(pencil.a_loc.column, z) + pencil.alpha * scipy.linalg.matmul_toeplitz(
+        pencil.a_frac.column, z, check_finite=False)
+
+
+def _toeplitz_norm_1(column: np.ndarray) -> float:
+    """||toeplitz(column)||_1 in O(n).
+
+    Column j of a symmetric Toeplitz matrix holds |c_0|..|c_j| above and
+    including the diagonal and |c_1|..|c_(n-1-j)| below it, so with prefix
+    sums P its absolute sum is P_j + P_(n-1-j) - |c_0|.
+    """
+    prefix = np.cumsum(np.abs(column))
+    return float(np.max(prefix + prefix[::-1]) - abs(column[0]))
 
 
 def _positive_definite(matrix: np.ndarray) -> bool:
@@ -495,8 +520,8 @@ class SpectrumResult:
     """Eigenpairs of (A_alpha, M), ascending, M-orthonormal columns.
 
     ``solver`` records how the spectrum and gamma were found: for each, the
-    route of ``_lowest`` (or gamma's ``cholesky``), the shift-invert shift
-    tried and the reason it fell back.
+    route (``_lowest``'s, or gamma's ``closed_form`` for alpha >= 0), the
+    shift-invert shift tried and the reason it fell back.
     """
 
     lambdas: np.ndarray
@@ -531,7 +556,8 @@ def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
     mapped back by S D.  gamma = gamma_shift(pencil) is computed alongside
     and reported; ``solver`` records both routes.  Eigenvectors are returned
     M-orthonormal with the sign fixed so the entry of largest magnitude is
-    positive.  Residuals use a transient dense A_alpha, then M.
+    positive.  Residuals ||A_alpha u - lambda M u|| use ``_pencil_times``
+    and M's stencil, so no dense form is built.
     """
     n = pencil.n
     if not 1 <= k <= n:
@@ -544,7 +570,9 @@ def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
     signs[signs == 0.0] = 1.0
     vectors = vectors * signs[None, :]
 
-    residuals = _column_norms(pencil.a_alpha @ vectors - pencil.mass.data @ vectors * lambdas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = _column_norms(_pencil_times(pencil, vectors)
+                                  - _stencil_times(pencil.mass.column, vectors) * lambdas)
     cluster_ids = np.zeros(k, dtype=int)
     for j in range(1, k):
         close = lambdas[j] - lambdas[j - 1] <= CLUSTER_RTOL * (1.0 + abs(lambdas[j]))
@@ -585,37 +613,54 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     beyond the computed ones, so every uncomputed eigenvalue below the upper
     shift ties with lambda_k to within delta_k.
 
+    When A_alpha's column is zero past its second entry (alpha = 0, or
+    n <= 2) every shifted matrix is tridiagonal, and both tests run in O(n)
+    on its two entries: LAPACK ``dpttrf`` for the Cholesky factor and a
+    Sturm count (``_tridiagonal_count_below``) for the inertia.  Otherwise
+    each shifted matrix is built dense from the two columns and factored in
+    place, so one n x n array of this function is alive at a time.
+
     The shift is delta = max(1e-8 (1 + |lambda|), margin).  The margin
     n eps max ||A_alpha - lambda M||_1 / lambda_min(M), over lambda in
     {lambda_1, lambda_k}, bounds the rounding of the factorizations in
-    eigenvalue units; lambda_min(M) = h (2 + cos(n pi/(n+1)))/3 is the
+    eigenvalue units; the 1-norms are ``_toeplitz_norm_1`` of the shifted
+    columns, and lambda_min(M) = h (2 + cos(n pi/(n+1)))/3 is the
     closed-form smallest eigenvalue of the P1 mass matrix.  Each u_k must
-    also attain lambda_k: |u_k^T A u_k / u_k^T M u_k - lambda_k| <= 1e-8 (1 + |lambda_k|).
-
-    The quotients read one dense A_alpha and then one dense M; every shifted
-    matrix is built from the two columns and factored in place.  So one
-    n x n array of this function is alive at a time; nothing is drawn at random.
+    also attain lambda_k: |u_k^T A u_k / u_k^T M u_k - lambda_k| <= 1e-8 (1 + |lambda_k|),
+    with A u_k from ``_pencil_times`` and M u_k from the stencil.  Nothing
+    is drawn at random.
     """
-    lambdas = result.lambdas
+    lambdas, vectors = result.lambdas, result.vectors
     n, k = pencil.n, lambdas.size
-
-    def forms(dense):
-        return [float(u_k @ dense @ u_k) for u_k in result.vectors.T]
-
-    attained = [a / m for a, m in zip(forms(pencil.a_alpha), forms(pencil.mass.data))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        attained = (np.einsum("ij,ij->j", vectors, _pencil_times(pencil, vectors))
+                    / np.einsum("ij,ij->j", vectors, _stencil_times(pencil.mass.column, vectors)))
 
     def shifted(sigma):
-        # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
-        return scipy.linalg.toeplitz(pencil.mass.column * -sigma + pencil.column).T
+        return pencil.mass.column * -sigma + pencil.column
+
+    if np.any(pencil.column[2:]):
+        def definite(sigma):
+            # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
+            return _positive_definite(scipy.linalg.toeplitz(shifted(sigma)).T)
+
+        def count_below(sigma):
+            return _count_below(scipy.linalg.toeplitz(shifted(sigma)).T)
+    else:
+        def definite(sigma):
+            return _tridiagonal_definite(shifted(sigma))
+
+        def count_below(sigma):
+            return _tridiagonal_count_below(shifted(sigma))
 
     mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
-    norm = max(scipy.linalg.lapack.dlange("1", shifted(lam)) for lam in (lambdas[0], lambdas[-1]))
+    norm = max(_toeplitz_norm_1(shifted(lam)) for lam in (lambdas[0], lambdas[-1]))
     margin = float(n * np.finfo(float).eps * norm / mass_min)
     delta_1 = max(1e-8 * (1.0 + abs(lambdas[0])), margin)
     delta_k = max(1e-8 * (1.0 + abs(lambdas[-1])), margin)
     lower, upper = float(lambdas[0] - delta_1), float(lambdas[-1] + delta_k)
-    below_lower = 0 if _positive_definite(shifted(lower)) else _count_below(shifted(lower))
-    below_upper = _count_below(shifted(upper))
+    below_lower = 0 if definite(lower) else count_below(lower)
+    below_upper = count_below(upper)
     report = {
         "op": "variational_characterization",
         "margin": margin,
@@ -627,16 +672,16 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     counts_hold = below_lower == 0 and below_upper == k
     if below_upper > k:
         tie = float(lambdas[-1] - delta_k)
-        below_tie = _count_below(shifted(tie))
+        below_tie = count_below(tie)
         computed = int(np.count_nonzero(lambdas < tie))
         report.update(tie_shift=tie, below_tie=below_tie, computed_below_tie=computed)
         counts_hold = below_lower == 0 and below_tie == computed
 
     per_k = []
     for j in range(k):
-        lam = lambdas[j]
-        holds = bool(abs(attained[j] - lam) <= 1e-8 * (1.0 + abs(lam)))
-        per_k.append({"k": j + 1, "lambda": float(lam), "attained": attained[j], "holds": holds})
+        lam, quotient = lambdas[j], float(attained[j])
+        holds = bool(abs(quotient - lam) <= 1e-8 * (1.0 + abs(lam)))
+        per_k.append({"k": j + 1, "lambda": float(lam), "attained": quotient, "holds": holds})
     report["holds"] = counts_hold and all(row["holds"] for row in per_k)
     report["per_k"] = per_k
     return report
@@ -661,8 +706,10 @@ def check_contract(result: SpectrumResult, pencil: MixedPencil) -> dict:
     local_1 = 12.0 * math.sin(0.5 * t) ** 2 / ((2.0 + math.cos(t)) * h) / h
     lam_1 = float(result.lambdas[0])
     v = result.vectors
-    m_err = float(np.max(np.abs(v.T @ pencil.mass.data @ v - np.eye(v.shape[1]))))
-    b_mat = v.T @ pencil.a_alpha @ v
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_err = float(np.max(np.abs(v.T @ _stencil_times(pencil.mass.column, v)
+                                    - np.eye(v.shape[1]))))
+        b_mat = v.T @ _pencil_times(pencil, v)
     b_scale = float(np.max(np.abs(np.diag(b_mat))))
     b_err = float(np.max(np.abs(b_mat - np.diag(np.diag(b_mat)))))
     contract = {
@@ -698,6 +745,60 @@ def _count_below(shifted: np.ndarray) -> int:
                + np.count_nonzero(~single) // 2)
 
 
+def _scaled_tridiagonal(column: np.ndarray) -> tuple[float, float]:
+    """Diagonal and off-diagonal of a symmetric tridiagonal Toeplitz column over a power of two.
+
+    The power of two puts the larger entry in [1, 2), so that no square or
+    quotient of the O(n) factorizations overflows; a positive scaling keeps
+    the inertia, and a power of two keeps the bits of normal numbers.
+    """
+    diagonal = float(column[0])
+    off = float(column[1]) if column.size > 1 else 0.0
+    unit = math.ldexp(1.0, math.frexp(max(abs(diagonal), abs(off)))[1] - 1)
+    return diagonal / unit, off / unit
+
+
+def _tridiagonal_definite(column: np.ndarray) -> bool:
+    """``_positive_definite`` of toeplitz(column) when the column is zero past index 1, in O(n).
+
+    LAPACK dpttrf, the L D L^T factorization of a symmetric positive
+    definite tridiagonal matrix, fails at the first pivot that is not
+    positive.  Its wrapper refuses an empty off-diagonal, so at n = 1 it
+    gets one that it never reads.
+    """
+    diagonal, off = _scaled_tridiagonal(column)
+    if not (math.isfinite(diagonal) and math.isfinite(off)):
+        return False
+    n = column.size
+    info = scipy.linalg.lapack.dpttrf(np.full(n, diagonal), np.full(max(n - 1, 1), off))[2]
+    return info == 0
+
+
+def _tridiagonal_count_below(column: np.ndarray) -> int:
+    """``_count_below`` of toeplitz(column) when the column is zero past index 1, in O(n).
+
+    The Sturm count: the pivots q_1 = d, q_i = d - e^2 / q_(i-1) of the
+    unpivoted L D L^T have the inertia of the matrix (Sylvester), and the
+    count of negative ones is backward stable (Demmel and Kahan 1990;
+    Parlett, The Symmetric Eigenvalue Problem, ch. 3).  An eigenvalue exactly
+    at the shift gives a zero pivot, which is not counted, as a zero pivot
+    of ``_count_below``'s D is not: both count the eigenvalues strictly
+    below the shift.  A zero pivot before the last is replaced by the
+    smallest normal number: the next pivot is then hugely negative, and
+    one of the two is counted, as the exact Sturm sequence (whose neighbours
+    of a zero term differ in sign) counts one.
+    """
+    diagonal, off = _scaled_tridiagonal(column)
+    square = off * off
+    tiny = float(np.finfo(float).tiny)
+    pivot = diagonal
+    count = int(pivot < 0.0)
+    for _ in range(column.size - 1):
+        pivot = diagonal - square / (pivot if pivot != 0.0 else tiny)
+        count += pivot < 0.0
+    return count
+
+
 def verify_variational_characterization(result: SpectrumResult, pencil: MixedPencil,
                                         *, rng=None) -> dict:
     """Sample the min-max characterization of every computed eigenvalue.
@@ -730,9 +831,9 @@ def verify_variational_characterization(result: SpectrumResult, pencil: MixedPen
             active = np.abs(result.lambdas[: j - 1]) != 0.0
             basis = u_prev[:, active]
             if basis.size:
-                z = z - basis @ (basis.T @ _mass_times(column, z))
+                z = z - basis @ (basis.T @ _stencil_times(column, z))
         num = np.einsum("ij,ij->j", z, a_mat @ z)
-        den = np.einsum("ij,ij->j", z, _mass_times(column, z))
+        den = np.einsum("ij,ij->j", z, _stencil_times(column, z))
         good = den > 1e-12 * np.max(den)
         quotients = num[good] / den[good]
         u_k = result.vectors[:, j - 1]

@@ -362,7 +362,7 @@ def suite_gamma_shift(rng):
     c_h = spectral.embedding_constant(base)
 
     def pencil_top(pencil):
-        # the eigensolve route, independent of gamma_shift's Cholesky certificate
+        # a dense eigensolve, independent of gamma_shift's closed form and its _lowest
         return float(scipy.linalg.eigh(
             0.5 * base.a_loc.data - pencil.a_alpha, base.mass.data, eigvals_only=True,
             subset_by_index=[mesh.n - 1, mesh.n - 1])[0])

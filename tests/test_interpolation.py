@@ -358,6 +358,22 @@ class TestInterpolationNorm:
                 got = interpolation_norm(couple, f, s, p, "K")
                 assert got == pytest.approx(expected, rel=1e-9)
 
+    def test_sup_norm_two_nearly_tied_peaks(self):
+        # K2 x^-s peaks at log x = -2.25 and 0.06, and the coarse grid ranks
+        # the lower one first: refining only the grid argmax read 0.8281544,
+        # 5.5e-5 below the sup.  The closed form of K2 on a 600 001-point grid
+        # in log x bounds the sup from below; the refined norm lay 1.1e-11
+        # relative above that grid sup
+        mu = np.array([1.0, 213.8840708])
+        f = np.array([1.0, 0.43135601])
+        s = 0.35007651768093706
+        got = interpolation_norm(couple_from_grams(np.eye(2), np.diag(mu)), f, s, math.inf, "K2")
+        x = np.exp(np.linspace(-12.0, 12.0, 600_001))
+        k2 = np.sqrt(np.sum(f[:, None] ** 2 * x**2 * mu[:, None] / (1.0 + x**2 * mu[:, None]),
+                            axis=0))
+        grid_sup = float(np.max(k2 * x**-s))
+        assert grid_sup <= got <= grid_sup * (1.0 + 1e-10)
+
     @settings(max_examples=60, deadline=None)
     @given(
         log_mu=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=5),
