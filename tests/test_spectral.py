@@ -715,6 +715,7 @@ class TestTridiagonalCertificate:
 
     @pytest.mark.parametrize("column, below", [
         ([0.0], 0), ([-0.0], 0), ([1.0, 1.0], 0), ([1.0, -1.0], 0), ([2.0, 1.0], 0),
+        ([0.0, 1.0], 1), ([1.0, 1.0, 0.0], 1), ([0.0, 1.0, 0.0, 0.0], 2),
         ([0.0, 1.0, 0.0], 1), ([0.0, 1.0, 0.0, 0.0, 0.0], 2), ([-2.0, 1.0, 0.0], 3),
         ([1e-300, 1e300, 0.0], 1), ([1.5e308, -1e308, 0.0], 0)])
     def test_exact_zero_eigenvalue_is_not_counted(self, column, below):
