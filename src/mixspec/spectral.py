@@ -23,11 +23,14 @@ request by the cheapest exact route and records which one it took.  At
 alpha = 0, E_0 = diag(l/m) is diagonal and l/m rises with theta, so the
 pairs are closed forms.  From n = SHIFT_INVERT_MIN_N on (and k <= n /
 SHIFT_INVERT_K_RATIO) shift-invert Lanczos runs on the Toeplitz pencil in
-the original basis: the shift is the floor of the Grenander-Szegoe symbol
-ratio, proved below lambda_1 by a Cholesky factor, and each step is two
-triangular solves with that factor, so neither route builds B.  Otherwise,
-and whenever the Cholesky fails, ARPACK fails or its pairs' backward error
-exceeds n eps, the standard dense eigensolve of E_alpha answers.
+the original basis, on the Toeplitz column alone: the shift is the floor of
+the Grenander-Szegoe symbol ratio, proved below lambda_1 by the pivots of
+Durbin's recursion on A - sigma M (O(n^2) time, O(n) memory), and each
+step applies (A - sigma M)^-1 by the Gohberg-Semencul formula in six real
+FFTs, O(n log n).  Neither route builds B, and this one builds no n x n
+array.  Otherwise, and whenever a pivot is refused, ARPACK fails or its
+pairs' backward error exceeds n eps, the standard dense eigensolve of
+E_alpha answers.
 
 The paper's proof device, the minimal shift gamma >= 0 making
 
@@ -56,7 +59,9 @@ characterization, is certified by Sylvester inertia
 count just above lambda_k prove it for every direction at once.  When the
 shifted matrices are tridiagonal (alpha = 0) both run in O(n) on the
 column; otherwise each is a dense LAPACK factorization (Cholesky and
-Bunch-Kaufman), the one place the checks build an n x n matrix.
+Bunch-Kaufman), the one place the checks build an n x n matrix.  Both are
+backward stable, unlike Durbin's pivots on indefinite matrices, and they
+check the shift-invert route independently of its own factorization.
 The sampled Rayleigh-quotient check
 ``verify_variational_characterization`` stays as the independent randomized
 route of the tests and the verify suite.  ``check_contract`` is the one
@@ -120,12 +125,17 @@ CLUSTER_RTOL = 1e-7
 CONTRACT_FLAGS = ("m_orthonormality_holds", "b_orthogonality_holds", "residuals_hold",
                   "lower_bound_holds")
 THRESHOLD_RTOL = 1e-8  # |alpha* + 1/C_h| C_h
+# the smallest Durbin pivot of A - sigma M that _shift_invert accepts, over ||A - sigma M||_1
+PIVOT_RTOL = 1e-4
 # _lowest's shift-invert route runs from this n on, for k <= n / SHIFT_INVERT_K_RATIO.
-# Its time over the dense route's (assembly and solve_spectrum with gamma, k = 5;
-# 2-core Xeon, OpenBLAS on one thread; best of 5, two runs, s in {0.3, 0.7},
-# alpha in {-15, -0.5, 5}): 0.96-3.1 at n = 127, 1.3-1.6 at 255, 0.98-1.21 at
-# 383, 0.75-1.21 at 447, 0.75-0.91 at 511, 0.50-0.64 at 767.  In k the routes
-# tie near k = 16-20 at n = 511 and k = 50-64 at n = 1023.
+# Its time over the dense route's with the Durbin and Gohberg-Semencul operator
+# (assembly and solve_spectrum with gamma, k = 5; 2-core Xeon, OpenBLAS on one
+# thread; best of 5, two runs, s in {0.3, 0.7}, alpha in {-15, -0.5, 5}):
+# 1.01-3.2 at n = 127, 1.03-2.0 at 255, 0.68-1.17 at 383, 0.54-0.87 at 447,
+# 0.42-0.69 at 511, 0.18-0.28 at 767.  With B already built, as a sweep shares
+# it: 1.7-2.9 at 255, 1.0-2.1 at 383, 0.98-1.41 at 447, 0.55-0.99 at 511.  In k
+# the shift-invert route still wins at k = 32 for n = 511 (0.69-0.83) and at
+# k = 96 for n = 1023 (0.37-0.68); the ratio keeps the routes of earlier versions.
 SHIFT_INVERT_MIN_N = 416
 SHIFT_INVERT_K_RATIO = 32
 _NOT_FINITE = "eigenvalues leave the floating-point range: the matrix is not finite"
@@ -317,7 +327,9 @@ def _lowest(pencil: MixedPencil, k: int, diagonal: float, column: np.ndarray, *,
       and l/m rises with theta, so the pairs are its first k entries and the
       columns S D e_j.  No B is built.
     * ``shift_invert`` (``_shift_invert``) from n = SHIFT_INVERT_MIN_N on,
-      for k up to n / SHIFT_INVERT_K_RATIO.  No B is built.
+      for k up to n / SHIFT_INVERT_K_RATIO: Durbin's pivots prove the shift
+      below lambda_1 and Gohberg-Semencul FFT products apply the inverse.
+      No B and no n x n array is built.
     * ``dense``: the standard eigensolve of diagonal diag(l/m) + alpha B.  It
       is also the fallback when the shift-invert route fails; the route
       then records the shift it tried and why it failed.
@@ -351,7 +363,7 @@ def _symbol_floor(column: np.ndarray, mass_column: np.ndarray) -> float:
     1958; f_M = h (2 + cos t)/3 > 0).  The range is taken over a 16 n-point
     grid, one ``rfft`` of each column, so its minimum may lie above the true
     one: the returned min - 1e-8 (max - min) is proved below lambda_1 only
-    by the Cholesky factor of ``_shift_invert``.  The offset is scaled by
+    by the Durbin pivots of ``_shift_invert``.  The offset is scaled by
     the range, not by a fixed unit, so that the shift stays within the
     spectrum's own scale on any domain: a shift far outside it leaves the
     eigenvalues of the shifted operator equal to rounding.
@@ -369,34 +381,56 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
     """The k lowest eigenpairs of (toeplitz(column), M) by shift-invert Lanczos.
 
     Returns ``(lambdas, vectors)`` or None, the shift, and why it is None.
-    The shift sigma is ``_symbol_floor``.  A Cholesky factor of
-    toeplitz(column - sigma M column) proves sigma < lambda_1 (Sylvester
-    inertia), so the k largest eigenvalues 1/(lambda - sigma) of the
-    operator (A - sigma M)^-1 M, which ARPACK's implicitly restarted Lanczos
-    finds in the M inner product (Grimes, Lewis and Simon 1994), are the k
-    lowest of the pencil; their vectors come out M-orthonormal.  M is
-    applied by its three-term stencil and the operator by two triangular
-    solves, so no B and no dense M is built.  The start vector is fixed, so
-    the result is a function of the inputs; it is a ramp, not the constant
-    vector: the pencil commutes with the flip of the mesh, and a flip-even
-    start would reach the flip-odd eigenvectors through rounding only.
-    Lanczos can still miss one copy of a near-multiple eigenvalue;
-    ``certify_spectrum``'s inertia count then fails, so the miss never
-    passes silently.
+    The shift sigma is ``_symbol_floor``.  T = A - sigma M is symmetric
+    Toeplitz, and Durbin's recursion (``_toeplitz_pivots``) gives the pivots
+    of its unpivoted LDL^T in O(n^2) time and O(n) memory.  When every pivot
+    is at least PIVOT_RTOL ||T||_1, T is taken as positive definite
+    (Sylvester inertia; Durbin is weakly stable on such matrices, Cybenko
+    1980), so sigma < lambda_1 and the k largest eigenvalues
+    1/(lambda - sigma) of the operator T^-1 M, which ARPACK's implicitly
+    restarted Lanczos finds in the M inner product (Grimes, Lewis and Simon
+    1994), are the k lowest of the pencil; their vectors come out
+    M-orthonormal.  ``certify_spectrum``'s dense factorizations prove the
+    result by an independent route.
+
+    PIVOT_RTOL lies between two measurements.  At the symbol floor the
+    smallest pivot was at least 0.043 ||T||_1 over 600 random pencils
+    (n in 2..300, s in [0.05, 0.95], alpha in [-50, 50]) and 0.054 ||T||_1
+    over 240 drawn like the benchmark's spectrum requests (n up to 1023,
+    the spectrum's and gamma's columns), so any bound up to 1e-2 keeps
+    them on this route.  Durbin's pivots are no inertia count on indefinite
+    matrices: in 2400 probes at the certificate's shifts it miscounted 173
+    times, never calling an indefinite matrix definite, and every miscount
+    had a pivot of at most 7.7e-8 ||T||_1.  1e-4 sits about three orders
+    of magnitude from both.
+
+    T^-1 is applied by the Gohberg-Semencul formula (Gohberg and Semencul
+    1972): with x = T^-1 e_1 and L(c) the lower-triangular Toeplitz matrix
+    with first column c,
+
+        T^-1 v = (L(x) L(x)^T - L(Zx~) L(Zx~)^T) v / x_0,
+        Zx~ = [0, x_(n-1), ..., x_1],
+
+    six real FFTs of length ``next_fast_len(2n - 1)`` per step.  M is
+    applied by its three-term stencil, so no n x n array and no B is built.
+    The start vector is fixed, so the result is a function of the inputs;
+    it is a ramp, not the constant vector: the pencil commutes with the
+    flip of the mesh, and a flip-even start would reach the flip-odd
+    eigenvectors through rounding only.  Lanczos can still miss one copy of
+    a near-multiple eigenvalue; ``certify_spectrum``'s inertia count then
+    fails, so the miss never passes silently.
     """
-    # imported where it solves, so that importing mixspec.cli loads no
-    # scipy.sparse, and before the n x n factor is allocated (less heap growth)
+    # imported where it solves, so that importing mixspec.cli loads no scipy.sparse
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     shift = _symbol_floor(column, mass_column)
     if not math.isfinite(shift):
         return None, None, "the symbol floor is not finite"
-    shifted = scipy.linalg.toeplitz(mass_column * -shift + column)
-    try:
-        # C-ordered and symmetric, so its transpose is factored in place
-        factor = scipy.linalg.cho_factor(shifted.T, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return None, shift, "no Cholesky factor at the shift: it is not below lambda_1"
+    shifted = mass_column * -shift + column
+    pivots, predictor = _toeplitz_pivots(shifted)
+    if not np.min(pivots) >= PIVOT_RTOL * _toeplitz_norm_1(shifted):  # NaN refuses too
+        return None, shift, (f"a Durbin pivot at the shift is below {PIVOT_RTOL:g} "
+                             "||A - sigma M||_1: the shift is not proved below lambda_1")
     n = column.size
 
     def operator(matvec):
@@ -408,18 +442,77 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
             lambdas, vectors = eigsh(
                 operator(lambda x: scipy.linalg.matmul_toeplitz(column, x)), k,
                 M=operator(lambda x: _stencil_times(mass_column, x)), sigma=shift,
-                OPinv=operator(lambda x: scipy.linalg.cho_solve(factor, x, check_finite=False)),
+                OPinv=operator(_gohberg_semencul(pivots[-1], predictor)),
                 v0=np.linspace(1.0, 2.0, n))
     except ArpackError as exc:  # ArpackNoConvergence among them
         return None, shift, f"ARPACK: {exc}"
     # ARPACK converges on the shifted operator, not on the pencil.  A backward
     # error at the rounding level of a dense solve bounds each value's error
-    # by about certify_spectrum's margin; NaN fails the test too
+    # by about certify_spectrum's margin; NaN fails the test too.  The reason
+    # carries no figure: on pencils of rounding noise the figure is not
+    # reproducible from one process to the next
     error = _backward_error(column, mass_column, lambdas, vectors)
     if not error <= n * np.finfo(float).eps:
-        return None, shift, f"backward error {error:.3g} of the Lanczos pairs exceeds n eps"
+        return None, shift, ("backward error of the Lanczos pairs "
+                             + ("exceeds n eps" if math.isfinite(error) else "is not finite"))
     order = np.argsort(lambdas)
     return (lambdas[order], vectors[:, order]), shift, None
+
+
+def _toeplitz_pivots(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Durbin's recursion on the symmetric Toeplitz matrix T = toeplitz(column).
+
+    Returns the pivots d of the unpivoted LDL^T of T, the ratios of its
+    successive leading principal minors, and the monic predictor a with
+    T a = d_(n-1) e_1, so that x = T^-1 e_1 is a / d_(n-1).  Step m solves
+    the order-m Yule-Walker system from the order-(m-1) one through the
+    reflection coefficient kappa, and the pivot is updated as
+    e (1 - kappa)(1 + kappa), which loses no digits as |kappa| nears 1 the
+    way e (1 - kappa^2) does.  O(n^2) time and O(n) memory (Golub and Van
+    Loan, Matrix Computations, sec. 4.7).  A zero pivot makes the later
+    ones NaN, and a non-finite one makes them NaN or infinite; the caller
+    refuses them.
+    """
+    n = column.size
+    pivots = np.empty(n)
+    predictor = np.zeros(n)
+    predictor[0] = 1.0
+    pivots[0] = pivot = float(column[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n):
+            # Python floats, faster here than numpy scalars; their division
+            # by zero raises, so a zero pivot gives NaN instead
+            kappa = -float(column[m:0:-1] @ predictor[:m]) / pivot if pivot else math.nan
+            predictor[1:m + 1] += kappa * predictor[m - 1::-1]
+            pivot *= (1.0 - kappa) * (1.0 + kappa)
+            pivots[m] = pivot
+    return pivots, predictor
+
+
+def _gohberg_semencul(pivot: float, predictor: np.ndarray):
+    """v -> T^-1 v by the Gohberg-Semencul formula, from ``_toeplitz_pivots``'s last pivot and a.
+
+    With x = a / pivot the formula of ``_shift_invert`` reads
+    T^-1 v = (L(a) L(a)^T - L(Za~) L(Za~)^T) v / pivot; a has a unit first
+    entry, so neither product leaves the scale of v before the division.
+    Each L(c) and L(c)^T is a product of zero-padded real FFTs: L(c)^T v is
+    the correlation, the conjugate spectrum of c times that of v.
+    """
+    n = predictor.size
+    size = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    flipped = np.zeros(n)
+    flipped[1:] = predictor[:0:-1]
+    first = scipy.fft.rfft(predictor, size)
+    second = scipy.fft.rfft(flipped, size)
+
+    def solve(v):
+        spectrum = scipy.fft.rfft(v, size)
+        head = scipy.fft.irfft(first.conj() * spectrum, size)[:n]
+        tail = scipy.fft.irfft(second.conj() * spectrum, size)[:n]
+        product = first * scipy.fft.rfft(head, size) - second * scipy.fft.rfft(tail, size)
+        return scipy.fft.irfft(product, size)[:n] / pivot
+
+    return solve
 
 
 def _backward_error(column: np.ndarray, mass_column: np.ndarray, lambdas: np.ndarray,

@@ -164,6 +164,39 @@ class TestCliAssemble:
             main(["frobnicate"])
         assert info.value.code == 64
 
+    def test_shared_parser_matches_fresh_parsers(self, tmp_path, capsys):
+        # one parser serves every call of a process; consecutive calls with
+        # different subcommands, a usage error between two of them, write
+        # what a freshly built parser writes for each call
+        calls = [
+            ["spectrum", "--n", "15", "--s", "0.3", "--alpha", "-2", "--k", "3", "--vectors"],
+            ["assemble", "--n", "5", "--s", "0.6"],
+            ["spectrum", "--n", "7", "--alpha", "--k", "2"],  # --alpha lacks its value
+            ["sweep", "--n", "15", "--alpha-range", "-3", "1", "3", "--k", "2", "--format", "json"],
+            ["spectrum", "--n", "15", "--alpha", "1", "--k", "2"],
+        ]
+
+        def run(out, fresh):
+            results = []
+            for j, argv in enumerate(calls):
+                if fresh:
+                    cli._build_parser.cache_clear()
+                try:
+                    code = main(argv + ["--out", str(out / str(j))])
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                results.append((code, captured.out.replace(str(out), "<out>"), captured.err))
+            files = {path.relative_to(out): path.read_bytes()
+                     for path in sorted(out.rglob("*")) if path.is_file()}
+            return results, files
+
+        fresh = run(tmp_path / "fresh", True)
+        shared = run(tmp_path / "shared", False)
+        assert [code for code, _, _ in shared[0]] == [0, 0, 64, 0, 0]
+        assert shared == fresh and len(shared[1]) > 5
+        assert cli._build_parser() is cli._build_parser()
+
 
 class TestCliSpectrum:
     def test_baseline_lambda(self, tmp_path):
