@@ -469,20 +469,18 @@ def _toeplitz_pivots(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reflection coefficient kappa, and the pivot is updated as
     e (1 - kappa)(1 + kappa), which loses no digits as |kappa| nears 1 the
     way e (1 - kappa^2) does.  O(n^2) time and O(n) memory (Golub and Van
-    Loan, Matrix Computations, sec. 4.7).  A zero pivot makes the later
-    ones NaN, and a non-finite one makes them NaN or infinite; the caller
-    refuses them.
+    Loan, Matrix Computations, sec. 4.7).  A zero or non-finite pivot makes
+    the later ones NaN or infinite; the caller refuses them.
     """
     n = column.size
     pivots = np.empty(n)
     predictor = np.zeros(n)
     predictor[0] = 1.0
-    pivots[0] = pivot = float(column[0])
-    with np.errstate(over="ignore", invalid="ignore"):
+    pivots[0] = pivot = column[0]
+    # numpy scalars, whose division by zero gives inf or NaN where a Python float's raises
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for m in range(1, n):
-            # Python floats, faster here than numpy scalars; their division
-            # by zero raises, so a zero pivot gives NaN instead
-            kappa = -float(column[m:0:-1] @ predictor[:m]) / pivot if pivot else math.nan
+            kappa = -(column[m:0:-1] @ predictor[:m]) / pivot
             predictor[1:m + 1] += kappa * predictor[m - 1::-1]
             pivot *= (1.0 - kappa) * (1.0 + kappa)
             pivots[m] = pivot
