@@ -23,12 +23,11 @@ request by the cheapest exact route and records which one it took.  At
 alpha = 0, E_0 = diag(l/m) is diagonal and l/m rises with theta, so the
 pairs are closed forms.  From n = SHIFT_INVERT_MIN_N on (and k <= n /
 SHIFT_INVERT_K_RATIO) shift-invert Lanczos runs on the Toeplitz pencil in
-the original basis, on the Toeplitz column alone: the shift is the floor of
-the Grenander-Szegoe symbol ratio, proved below lambda_1 by the pivots of
-Durbin's recursion on A - sigma M (O(n^2) time, O(n) memory), and each
-step applies (A - sigma M)^-1 by the Gohberg-Semencul formula in six real
-FFTs, O(n log n).  Neither route builds B, and this one builds no n x n
-array.  Otherwise, and whenever a pivot is refused, ARPACK fails or its
+the original basis, on the Toeplitz column alone (``_toeplitz``): the
+shift is the symbol floor, proved below lambda_1 by Durbin's pivots of
+A - sigma M, and each step applies (A - sigma M)^-1 by the
+Gohberg-Semencul inverse.  Neither route builds B, and this one builds no
+n x n array.  Otherwise, and whenever a pivot is refused, ARPACK fails or its
 pairs' backward error exceeds n eps, the standard dense eigensolve of
 E_alpha answers.
 
@@ -55,13 +54,12 @@ the attained quotients multiply by M's three-term stencil and by A_alpha as
 A_loc's stencil plus an FFT Toeplitz product of A_frac (``_pencil_times``).
 That lambda_1..lambda_k are the k smallest eigenvalues, the min-max
 characterization, is certified by Sylvester inertia
-(``certify_spectrum``): a Cholesky factor just below lambda_1 and an LDL^T
-count just above lambda_k prove it for every direction at once.  When the
-shifted matrices are tridiagonal (alpha = 0) both run in O(n) on the
-column; otherwise each is a dense LAPACK factorization (Cholesky and
-Bunch-Kaufman), the one place the checks build an n x n matrix.  Both are
-backward stable, unlike Durbin's pivots on indefinite matrices, and they
-check the shift-invert route independently of its own factorization.
+(``certify_spectrum``): the shifted column just below lambda_1 must be
+``_toeplitz.definite``, and ``_toeplitz.count_below`` just above lambda_k
+must find exactly k, which proves it for every direction at once.  These
+two kernels check the shift-invert route independently of its own
+factorization, and the matrices they factor are the only n x n arrays
+the checks build.
 The sampled Rayleigh-quotient check
 ``verify_variational_characterization`` stays as the independent randomized
 route of the tests and the verify suite.  ``check_contract`` is the one
@@ -72,11 +70,11 @@ The coupling threshold where lambda_1 changes sign is exactly
 alpha* = -1/C_h, with C_h the largest eigenvalue of (A_frac, A_loc): the
 discrete embedding constant, the top eigenvalue of
 diag(l/m)^(-1/2) B diag(l/m)^(-1/2).  ``locate_threshold`` certifies it by
-Sylvester inertia (lambda_1 > 0 iff A_alpha has a Cholesky factor): two
-Cholesky attempts of the dense A_alpha, none at -(1 + THRESHOLD_RTOL)/C_h
-and one at -(1 - THRESHOLD_RTOL)/C_h, prove |alpha* + 1/C_h| C_h <=
-THRESHOLD_RTOL.  They use a dense A_alpha, not E_alpha, so that they
-check C_h, computed from B, against the original basis.
+Sylvester inertia (lambda_1 > 0 iff A_alpha is positive definite):
+A_alpha's column is not ``_toeplitz.definite`` at -(1 + THRESHOLD_RTOL)/C_h
+and is at -(1 - THRESHOLD_RTOL)/C_h, which proves |alpha* + 1/C_h| C_h <=
+THRESHOLD_RTOL.  It tests A_alpha, not E_alpha, so that it checks C_h,
+computed from B, against the original basis.
 
 C_h and the Brezis-type constant C_B (``verify_brezis_inequality``) are
 both the top eigenvalue of a diagonally weighted B (``SineBasis.top``).
@@ -92,6 +90,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
+from . import _toeplitz
 from .errors import AccuracyError, ParameterError, RequestError
 from .fem import (
     Mesh1D,
@@ -354,35 +353,12 @@ def _lowest(pencil: MixedPencil, k: int, diagonal: float, column: np.ndarray, *,
     return lambdas, basis.vectors(reduced_vectors), route
 
 
-def _symbol_floor(column: np.ndarray, mass_column: np.ndarray) -> float:
-    """A shift just below every eigenvalue of (toeplitz(column), M), or a candidate for one.
-
-    toeplitz(c) has the symbol f_c(t) = c_0 + 2 sum_j c_j cos(j t), and
-    u^T toeplitz(c) u is the integral of f_c |u^(t)|^2, so every eigenvalue
-    of the pencil lies in the range of f_column/f_M (Grenander and Szegoe
-    1958; f_M = h (2 + cos t)/3 > 0).  The range is taken over a 16 n-point
-    grid, one ``rfft`` of each column, so its minimum may lie above the true
-    one: the returned min - 1e-8 (max - min) is proved below lambda_1 only
-    by the Durbin pivots of ``_shift_invert``.  The offset is scaled by
-    the range, not by a fixed unit, so that the shift stays within the
-    spectrum's own scale on any domain: a shift far outside it leaves the
-    eigenvalues of the shifted operator equal to rounding.
-    """
-    size = 16 * column.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        symbol = 2.0 * scipy.fft.rfft(column, size).real - column[0]
-        mass = 2.0 * scipy.fft.rfft(mass_column, size).real - mass_column[0]
-        ratio = symbol / mass
-        low = float(np.min(ratio))
-        return low - 1e-8 * (float(np.max(ratio)) - low)
-
-
 def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
     """The k lowest eigenpairs of (toeplitz(column), M) by shift-invert Lanczos.
 
     Returns ``(lambdas, vectors)`` or None, the shift, and why it is None.
-    The shift sigma is ``_symbol_floor``.  T = A - sigma M is symmetric
-    Toeplitz, and Durbin's recursion (``_toeplitz_pivots``) gives the pivots
+    The shift sigma is ``_toeplitz.symbol_floor``.  T = A - sigma M is symmetric
+    Toeplitz, and Durbin's recursion (``_toeplitz.pivots``) gives the pivots
     of its unpivoted LDL^T in O(n^2) time and O(n) memory.  When every pivot
     is at least PIVOT_RTOL ||T||_1, T is taken as positive definite
     (Sylvester inertia; Durbin is weakly stable on such matrices, Cybenko
@@ -390,8 +366,8 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
     1/(lambda - sigma) of the operator T^-1 M, which ARPACK's implicitly
     restarted Lanczos finds in the M inner product (Grimes, Lewis and Simon
     1994), are the k lowest of the pencil; their vectors come out
-    M-orthonormal.  ``certify_spectrum``'s dense factorizations prove the
-    result by an independent route.
+    M-orthonormal.  ``certify_spectrum``'s inertia count proves the result
+    by an independent route.
 
     PIVOT_RTOL lies between two measurements.  At the symbol floor the
     smallest pivot was at least 0.043 ||T||_1 over 600 random pencils
@@ -404,31 +380,24 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
     had a pivot of at most 7.7e-8 ||T||_1.  1e-4 sits about three orders
     of magnitude from both.
 
-    T^-1 is applied by the Gohberg-Semencul formula (Gohberg and Semencul
-    1972): with x = T^-1 e_1 and L(c) the lower-triangular Toeplitz matrix
-    with first column c,
-
-        T^-1 v = (L(x) L(x)^T - L(Zx~) L(Zx~)^T) v / x_0,
-        Zx~ = [0, x_(n-1), ..., x_1],
-
-    six real FFTs of length ``next_fast_len(2n - 1)`` per step.  M is
-    applied by its three-term stencil, so no n x n array and no B is built.
-    The start vector is fixed, so the result is a function of the inputs;
-    it is a ramp, not the constant vector: the pencil commutes with the
-    flip of the mesh, and a flip-even start would reach the flip-odd
-    eigenvectors through rounding only.  Lanczos can still miss one copy of
-    a near-multiple eigenvalue; ``certify_spectrum``'s inertia count then
-    fails, so the miss never passes silently.
+    T^-1 is applied by ``_toeplitz.inverse`` and M by its stencil, so no
+    n x n array and no B is built.  The start vector is fixed, so the
+    result is a function of the inputs; it is a ramp, not the constant
+    vector: the pencil commutes with the flip of the mesh, and a flip-even
+    start would reach the flip-odd eigenvectors through rounding only.
+    Lanczos can still miss one copy of a near-multiple eigenvalue;
+    ``certify_spectrum``'s inertia count then fails, so the miss never
+    passes silently.
     """
     # imported where it solves, so that importing mixspec.cli loads no scipy.sparse
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    shift = _symbol_floor(column, mass_column)
+    shift = _toeplitz.symbol_floor(column, mass_column)
     if not math.isfinite(shift):
         return None, None, "the symbol floor is not finite"
     shifted = mass_column * -shift + column
-    pivots, predictor = _toeplitz_pivots(shifted)
-    if not np.min(pivots) >= PIVOT_RTOL * _toeplitz_norm_1(shifted):  # NaN refuses too
+    pivots, predictor = _toeplitz.pivots(shifted)
+    if not np.min(pivots) >= PIVOT_RTOL * _toeplitz.norm_1(shifted):  # NaN refuses too
         return None, shift, (f"a Durbin pivot at the shift is below {PIVOT_RTOL:g} "
                              "||A - sigma M||_1: the shift is not proved below lambda_1")
     n = column.size
@@ -440,9 +409,9 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
         # in shift-invert mode ARPACK applies only M and the inverse; A gives the shape
         with np.errstate(over="ignore", invalid="ignore"):
             lambdas, vectors = eigsh(
-                operator(lambda x: scipy.linalg.matmul_toeplitz(column, x)), k,
-                M=operator(lambda x: _stencil_times(mass_column, x)), sigma=shift,
-                OPinv=operator(_gohberg_semencul(pivots[-1], predictor)),
+                operator(lambda x: _toeplitz.times(column, x)), k,
+                M=operator(lambda x: _toeplitz.times(mass_column, x)), sigma=shift,
+                OPinv=operator(_toeplitz.inverse(pivots[-1], predictor)),
                 v0=np.linspace(1.0, 2.0, n))
     except ArpackError as exc:  # ArpackNoConvergence among them
         return None, shift, f"ARPACK: {exc}"
@@ -451,95 +420,12 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
     # by about certify_spectrum's margin; NaN fails the test too.  The reason
     # carries no figure: on pencils of rounding noise the figure is not
     # reproducible from one process to the next
-    error = _backward_error(column, mass_column, lambdas, vectors)
+    error = _toeplitz.backward_error(column, mass_column, lambdas, vectors)
     if not error <= n * np.finfo(float).eps:
         return None, shift, ("backward error of the Lanczos pairs "
                              + ("exceeds n eps" if math.isfinite(error) else "is not finite"))
     order = np.argsort(lambdas)
     return (lambdas[order], vectors[:, order]), shift, None
-
-
-def _toeplitz_pivots(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Durbin's recursion on the symmetric Toeplitz matrix T = toeplitz(column).
-
-    Returns the pivots d of the unpivoted LDL^T of T, the ratios of its
-    successive leading principal minors, and the monic predictor a with
-    T a = d_(n-1) e_1, so that x = T^-1 e_1 is a / d_(n-1).  Step m solves
-    the order-m Yule-Walker system from the order-(m-1) one through the
-    reflection coefficient kappa, and the pivot is updated as
-    e (1 - kappa)(1 + kappa), which loses no digits as |kappa| nears 1 the
-    way e (1 - kappa^2) does.  O(n^2) time and O(n) memory (Golub and Van
-    Loan, Matrix Computations, sec. 4.7).  A zero or non-finite pivot makes
-    the later ones NaN or infinite; the caller refuses them.
-    """
-    n = column.size
-    pivots = np.empty(n)
-    predictor = np.zeros(n)
-    predictor[0] = 1.0
-    pivots[0] = pivot = column[0]
-    # numpy scalars, whose division by zero gives inf or NaN where a Python float's raises
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for m in range(1, n):
-            kappa = -(column[m:0:-1] @ predictor[:m]) / pivot
-            predictor[1:m + 1] += kappa * predictor[m - 1::-1]
-            pivot *= (1.0 - kappa) * (1.0 + kappa)
-            pivots[m] = pivot
-    return pivots, predictor
-
-
-def _gohberg_semencul(pivot: float, predictor: np.ndarray):
-    """v -> T^-1 v by the Gohberg-Semencul formula, from ``_toeplitz_pivots``'s last pivot and a.
-
-    With x = a / pivot the formula of ``_shift_invert`` reads
-    T^-1 v = (L(a) L(a)^T - L(Za~) L(Za~)^T) v / pivot; a has a unit first
-    entry, so neither product leaves the scale of v before the division.
-    Each L(c) and L(c)^T is a product of zero-padded real FFTs: L(c)^T v is
-    the correlation, the conjugate spectrum of c times that of v.
-    """
-    n = predictor.size
-    size = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    flipped = np.zeros(n)
-    flipped[1:] = predictor[:0:-1]
-    first = scipy.fft.rfft(predictor, size)
-    second = scipy.fft.rfft(flipped, size)
-
-    def solve(v):
-        spectrum = scipy.fft.rfft(v, size)
-        head = scipy.fft.irfft(first.conj() * spectrum, size)[:n]
-        tail = scipy.fft.irfft(second.conj() * spectrum, size)[:n]
-        product = first * scipy.fft.rfft(head, size) - second * scipy.fft.rfft(tail, size)
-        return scipy.fft.irfft(product, size)[:n] / pivot
-
-    return solve
-
-
-def _backward_error(column: np.ndarray, mass_column: np.ndarray, lambdas: np.ndarray,
-                    vectors: np.ndarray) -> float:
-    """Largest normwise backward error of the pairs as eigenpairs of (toeplitz(column), M).
-
-    max_j ||A u_j - lambda_j M u_j|| / ((||A|| + |lambda_j| ||M||) ||u_j||), each
-    Toeplitz norm bounded by the absolute sum of its two-sided column; NaN
-    when a norm is not finite.  The products are FFT Toeplitz products and
-    the three-term stencil, O(n log n) per pair.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_norm = 2.0 * np.sum(np.abs(column)) - abs(column[0])
-        m_norm = 2.0 * np.sum(np.abs(mass_column)) - abs(mass_column[0])
-        residual = (scipy.linalg.matmul_toeplitz(column, vectors, check_finite=False)
-                    - _stencil_times(mass_column, vectors) * lambdas)
-        scale = (a_norm + np.abs(lambdas) * m_norm) * np.linalg.norm(vectors, axis=0)
-        if not np.isfinite(scale).all():
-            return math.nan
-        return float(np.max(np.linalg.norm(residual, axis=0) / scale))
-
-
-def _stencil_times(column: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """toeplitz(column) z for a tridiagonal column (M or A_loc), z a vector or columnwise."""
-    product = column[0] * z
-    if z.shape[0] > 1:
-        product[1:] += column[1] * z[:-1]
-        product[:-1] += column[1] * z[1:]
-    return product
 
 
 def _pencil_times(pencil: MixedPencil, z: np.ndarray) -> np.ndarray:
@@ -552,33 +438,10 @@ def _pencil_times(pencil: MixedPencil, z: np.ndarray) -> np.ndarray:
     product of the whole A_alpha would carry the rounding of its largest
     entries into every component.
     """
-    if not np.any(pencil.column[2:]):
-        return _stencil_times(pencil.column, z)
-    return _stencil_times(pencil.a_loc.column, z) + pencil.alpha * scipy.linalg.matmul_toeplitz(
-        pencil.a_frac.column, z, check_finite=False)
-
-
-def _toeplitz_norm_1(column: np.ndarray) -> float:
-    """||toeplitz(column)||_1 in O(n).
-
-    Column j of a symmetric Toeplitz matrix holds |c_0|..|c_j| above and
-    including the diagonal and |c_1|..|c_(n-1-j)| below it, so with prefix
-    sums P its absolute sum is P_j + P_(n-1-j) - |c_0|.
-    """
-    prefix = np.cumsum(np.abs(column))
-    return float(np.max(prefix + prefix[::-1]) - abs(column[0]))
-
-
-def _positive_definite(matrix: np.ndarray) -> bool:
-    """One Cholesky attempt of a finite symmetric matrix (Sylvester inertia).
-
-    A Fortran-ordered matrix is factored in place: every caller passes a fresh one.
-    """
-    try:
-        scipy.linalg.cholesky(matrix, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return False
-    return True
+    if _toeplitz.banded(pencil.column):
+        return _toeplitz.times(pencil.column, z)
+    return (_toeplitz.times(pencil.a_loc.column, z)
+            + pencil.alpha * _toeplitz.times(pencil.a_frac.column, z))
 
 
 def _eigh_subset(a: np.ndarray, lo: int, hi: int, **kwargs):
@@ -663,7 +526,7 @@ def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
 
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = _column_norms(_pencil_times(pencil, vectors)
-                                  - _stencil_times(pencil.mass.column, vectors) * lambdas)
+                                  - _toeplitz.times(pencil.mass.column, vectors) * lambdas)
     cluster_ids = np.zeros(k, dtype=int)
     for j in range(1, k):
         close = lambdas[j] - lambdas[j - 1] <= CLUSTER_RTOL * (1.0 + abs(lambdas[j]))
@@ -689,12 +552,13 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
 
     The number of eigenvalues of (A_alpha, M) below sigma equals the number
     of negative eigenvalues of A_alpha - sigma M (spectrum slicing; Parlett,
-    The Symmetric Eigenvalue Problem, ch. 3).  Two factorizations settle
-    the min-max characterization for every direction at once:
+    The Symmetric Eigenvalue Problem, ch. 3).  Two questions to
+    ``_toeplitz`` about shifted columns settle the min-max characterization
+    for every direction at once:
 
-    * a Cholesky factor of A_alpha - (lambda_1 - delta_1) M shows that no
-      eigenvalue lies below lambda_1 - delta_1;
-    * a Bunch-Kaufman LDL^T of A_alpha - (lambda_k + delta_k) M counts the
+    * A_alpha - (lambda_1 - delta_1) M is ``definite``, so no eigenvalue
+      lies below lambda_1 - delta_1;
+    * ``count_below`` of A_alpha - (lambda_k + delta_k) M counts the
       eigenvalues below lambda_k + delta_k; the count must be exactly k.
 
     With the residual and M-orthonormality checks, the two counts prove that
@@ -702,19 +566,13 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     kept in the report.  It passes only as a cluster straddling lambda_k:
     a third count, at lambda_k - delta_k, must then find no eigenvalue there
     beyond the computed ones, so every uncomputed eigenvalue below the upper
-    shift ties with lambda_k to within delta_k.
-
-    When A_alpha's column is zero past its second entry (alpha = 0, or
-    n <= 2) every shifted matrix is tridiagonal, and both tests run in O(n)
-    on its two entries: LAPACK ``dpttrf`` for the Cholesky factor and a
-    Sturm count (``_tridiagonal_count_below``) for the inertia.  Otherwise
-    each shifted matrix is built dense from the two columns and factored in
-    place, so one n x n array of this function is alive at a time.
+    shift ties with lambda_k to within delta_k.  Each question builds at
+    most one n x n array, so one is alive at a time.
 
     The shift is delta = max(1e-8 (1 + |lambda|), margin).  The margin
     n eps max ||A_alpha - lambda M||_1 / lambda_min(M), over lambda in
     {lambda_1, lambda_k}, bounds the rounding of the factorizations in
-    eigenvalue units; the 1-norms are ``_toeplitz_norm_1`` of the shifted
+    eigenvalue units; the 1-norms are ``_toeplitz.norm_1`` of the shifted
     columns, and lambda_min(M) = h (2 + cos(n pi/(n+1)))/3 is the
     closed-form smallest eigenvalue of the P1 mass matrix.  Each u_k must
     also attain lambda_k: |u_k^T A u_k / u_k^T M u_k - lambda_k| <= 1e-8 (1 + |lambda_k|),
@@ -725,33 +583,20 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     n, k = pencil.n, lambdas.size
     with np.errstate(over="ignore", invalid="ignore"):
         attained = (np.einsum("ij,ij->j", vectors, _pencil_times(pencil, vectors))
-                    / np.einsum("ij,ij->j", vectors, _stencil_times(pencil.mass.column, vectors)))
+                    / np.einsum("ij,ij->j", vectors, _toeplitz.times(pencil.mass.column, vectors)))
 
     def shifted(sigma):
         return pencil.mass.column * -sigma + pencil.column
 
-    if np.any(pencil.column[2:]):
-        def definite(sigma):
-            # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
-            return _positive_definite(scipy.linalg.toeplitz(shifted(sigma)).T)
-
-        def count_below(sigma):
-            return _count_below(scipy.linalg.toeplitz(shifted(sigma)).T)
-    else:
-        def definite(sigma):
-            return _tridiagonal_definite(shifted(sigma))
-
-        def count_below(sigma):
-            return _tridiagonal_count_below(shifted(sigma))
-
     mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
-    norm = max(_toeplitz_norm_1(shifted(lam)) for lam in (lambdas[0], lambdas[-1]))
+    norm = max(_toeplitz.norm_1(shifted(lam)) for lam in (lambdas[0], lambdas[-1]))
     margin = float(n * np.finfo(float).eps * norm / mass_min)
     delta_1 = max(1e-8 * (1.0 + abs(lambdas[0])), margin)
     delta_k = max(1e-8 * (1.0 + abs(lambdas[-1])), margin)
     lower, upper = float(lambdas[0] - delta_1), float(lambdas[-1] + delta_k)
-    below_lower = 0 if definite(lower) else count_below(lower)
-    below_upper = count_below(upper)
+    below_lower = (0 if _toeplitz.definite(shifted(lower))
+                   else _toeplitz.count_below(shifted(lower)))
+    below_upper = _toeplitz.count_below(shifted(upper))
     report = {
         "op": "variational_characterization",
         "margin": margin,
@@ -763,7 +608,7 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     counts_hold = below_lower == 0 and below_upper == k
     if below_upper > k:
         tie = float(lambdas[-1] - delta_k)
-        below_tie = count_below(tie)
+        below_tie = _toeplitz.count_below(shifted(tie))
         computed = int(np.count_nonzero(lambdas < tie))
         report.update(tie_shift=tie, below_tie=below_tie, computed_below_tie=computed)
         counts_hold = below_lower == 0 and below_tie == computed
@@ -798,7 +643,7 @@ def check_contract(result: SpectrumResult, pencil: MixedPencil) -> dict:
     lam_1 = float(result.lambdas[0])
     v = result.vectors
     with np.errstate(over="ignore", invalid="ignore"):
-        m_err = float(np.max(np.abs(v.T @ _stencil_times(pencil.mass.column, v)
+        m_err = float(np.max(np.abs(v.T @ _toeplitz.times(pencil.mass.column, v)
                                     - np.eye(v.shape[1]))))
         b_mat = v.T @ _pencil_times(pencil, v)
     b_scale = float(np.max(np.abs(np.diag(b_mat))))
@@ -817,77 +662,6 @@ def check_contract(result: SpectrumResult, pencil: MixedPencil) -> dict:
     contract["holds"] = (all(contract[key] for key in CONTRACT_FLAGS)
                          and contract["variational"]["holds"])
     return contract
-
-
-def _count_below(shifted: np.ndarray) -> int:
-    """Negative eigenvalues of a Fortran-ordered symmetric matrix, factored in place.
-
-    Bunch-Kaufman LDL^T (LAPACK dsytrf, blocked with its queried workspace);
-    by Sylvester's law D has the inertia of the matrix.  A 1x1 block counts
-    when its pivot is negative.  A 2x2 block [[a, b], [b, c]] is taken only
-    when |a c| < alpha^2 b^2, alpha = (1 + sqrt 17)/8, so its determinant is
-    negative and it holds exactly one negative eigenvalue.
-    """
-    lapack = scipy.linalg.lapack
-    lwork = int(lapack.dsytrf_lwork(shifted.shape[0])[0])
-    ldu, ipiv, _ = lapack.dsytrf(shifted, lwork=lwork, overwrite_a=True)
-    single = ipiv > 0   # rows of a 2x2 block carry the same negative ipiv
-    return int(np.count_nonzero(np.diagonal(ldu)[single] < 0.0)
-               + np.count_nonzero(~single) // 2)
-
-
-def _scaled_tridiagonal(column: np.ndarray) -> tuple[float, float]:
-    """Diagonal and off-diagonal of a symmetric tridiagonal Toeplitz column over a power of two.
-
-    The power of two puts the larger entry in [1, 2), so that no square or
-    quotient of the O(n) factorizations overflows; a positive scaling keeps
-    the inertia, and a power of two keeps the bits of normal numbers.
-    """
-    diagonal = float(column[0])
-    off = float(column[1]) if column.size > 1 else 0.0
-    unit = math.ldexp(1.0, math.frexp(max(abs(diagonal), abs(off)))[1] - 1)
-    return diagonal / unit, off / unit
-
-
-def _tridiagonal_definite(column: np.ndarray) -> bool:
-    """``_positive_definite`` of toeplitz(column) when the column is zero past index 1, in O(n).
-
-    LAPACK dpttrf, the L D L^T factorization of a symmetric positive
-    definite tridiagonal matrix, fails at the first pivot that is not
-    positive.  Its wrapper refuses an empty off-diagonal, so at n = 1 it
-    gets one that it never reads.
-    """
-    diagonal, off = _scaled_tridiagonal(column)
-    if not (math.isfinite(diagonal) and math.isfinite(off)):
-        return False
-    n = column.size
-    info = scipy.linalg.lapack.dpttrf(np.full(n, diagonal), np.full(max(n - 1, 1), off))[2]
-    return info == 0
-
-
-def _tridiagonal_count_below(column: np.ndarray) -> int:
-    """``_count_below`` of toeplitz(column) when the column is zero past index 1, in O(n).
-
-    The Sturm count: the pivots q_1 = d, q_i = d - e^2 / q_(i-1) of the
-    unpivoted L D L^T have the inertia of the matrix (Sylvester), and the
-    count of negative ones is backward stable (Demmel and Kahan 1990;
-    Parlett, The Symmetric Eigenvalue Problem, ch. 3).  An eigenvalue exactly
-    at the shift gives a zero pivot, which is not counted, as a zero pivot
-    of ``_count_below``'s D is not: both count the eigenvalues strictly
-    below the shift.  A zero pivot before the last is replaced by the
-    smallest normal number: the next pivot is then hugely negative, and
-    one of the two is counted, as the exact Sturm sequence (whose neighbours
-    of a zero term differ in sign) counts one.
-    """
-    diagonal, off = _scaled_tridiagonal(column)
-    square = off * off
-    tiny = float(np.finfo(float).tiny)
-    pivot = diagonal
-    count = int(pivot < 0.0)
-    for _ in range(column.size - 1):
-        pivot = diagonal - square / (pivot if pivot != 0.0 else tiny)
-        count += pivot < 0.0
-    return count
 
 
 def verify_variational_characterization(result: SpectrumResult, pencil: MixedPencil,
@@ -922,9 +696,9 @@ def verify_variational_characterization(result: SpectrumResult, pencil: MixedPen
             active = np.abs(result.lambdas[: j - 1]) != 0.0
             basis = u_prev[:, active]
             if basis.size:
-                z = z - basis @ (basis.T @ _stencil_times(column, z))
+                z = z - basis @ (basis.T @ _toeplitz.times(column, z))
         num = np.einsum("ij,ij->j", z, a_mat @ z)
-        den = np.einsum("ij,ij->j", z, _stencil_times(column, z))
+        den = np.einsum("ij,ij->j", z, _toeplitz.times(column, z))
         good = den > 1e-12 * np.max(den)
         quotients = num[good] / den[good]
         u_k = result.vectors[:, j - 1]
@@ -984,18 +758,18 @@ def locate_threshold(pencil: MixedPencil) -> dict:
     """Certify that lambda_1(alpha) changes sign within THRESHOLD_RTOL of -1/C_h.
 
     lambda_1 never decreases in alpha (A_frac is PSD), so it changes sign
-    once, and by Sylvester inertia lambda_1 > 0 iff A_alpha has a Cholesky
-    factor.  ``holds`` is that A_alpha has none at -(1 + THRESHOLD_RTOL)/C_h
-    (``indefinite_below``) and one at -(1 - THRESHOLD_RTOL)/C_h
-    (``definite_above``): together they prove |alpha* + 1/C_h| C_h <=
-    THRESHOLD_RTOL.  Only the coupling of ``pencil`` is replaced.
+    once, and by Sylvester inertia lambda_1 > 0 iff A_alpha is positive
+    definite (``_toeplitz.definite`` of its column).  ``holds`` is that
+    A_alpha is not at -(1 + THRESHOLD_RTOL)/C_h (``indefinite_below``) and
+    is at -(1 - THRESHOLD_RTOL)/C_h (``definite_above``): together they
+    prove |alpha* + 1/C_h| C_h <= THRESHOLD_RTOL.  Only the coupling of
+    ``pencil`` is replaced.
     """
     c_h = embedding_constant(pencil)
     below = pencil.with_alpha((-1.0 - THRESHOLD_RTOL) / c_h)
     above = pencil.with_alpha((-1.0 + THRESHOLD_RTOL) / c_h)
-    # fresh C-ordered symmetric matrices, each factored in place as its transpose
-    indefinite_below = not _positive_definite(scipy.linalg.toeplitz(below.column).T)
-    definite_above = _positive_definite(scipy.linalg.toeplitz(above.column).T)
+    indefinite_below = not _toeplitz.definite(below.column)
+    definite_above = _toeplitz.definite(above.column)
     return {
         "minus_inv_c": -1.0 / c_h,
         "embedding_constant": c_h,

@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mixspec import (
@@ -90,6 +91,27 @@ class TestMatrixFormat:
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(FormatError):
             read_matrix(path)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.integers(1, 10**15), cols=st.integers(1, 10**15),
+           lines=st.integers(1, 3), width=st.integers(1, 3))
+    @example(rows=1, cols=100_000_000_000, lines=1, width=1)
+    @example(rows=1, cols=1_000_000, lines=1, width=1)
+    def test_header_counts_allocate_nothing(self, tmp_path, rows, cols, lines, width):
+        # a header's counts are checked against the rows that follow it before
+        # any array is built, so a short body fails without a large allocation
+        assume(rows != lines or cols != width)
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# {rows} {cols} Mass NA\n" + ("1 " * width + "\n") * lines)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestVectorFormat:
@@ -542,6 +564,14 @@ class TestCliKfunc:
         assert main(["kfunc", "--couple", str(tmp_path / "bad.txt"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_oversized_couple_header_exit_2(self, tmp_path, capsys):
+        # the Y block's header asks for a 1 x 1e11 array: 745 GiB, never allocated
+        path = tmp_path / "couple.txt"
+        path.write_text("# GRAM X\n# 1 1 Gram NA\n1\n# GRAM Y\n# 1 100000000000 Gram NA\n1\n")
+        assert main(["kfunc", "--couple", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--couple", "--f"])
     def test_undecodable_file_exit_2(self, tmp_path, capsys, flag):
         path = tmp_path / "bad.bin"
@@ -628,7 +658,8 @@ class TestCliVerify:
 
     @pytest.mark.parametrize("text", ["# -1 3 Mass NA\n1 2 3\n",
                                       "# 0 0 FractionalStiffness 0.5\n",
-                                      "# 1 1 Mass NA\nnan\n", UNDECODABLE])
+                                      "# 1 1 Mass NA\nnan\n", UNDECODABLE,
+                                      "# 1 100000000000 Mass NA\n1\n"])
     def test_malformed_matrix_counterexample(self, tmp_path, text):
         path = tmp_path / "bad.txt"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,10 +33,10 @@ from mixspec import (
     verify_brezis_inequality,
     verify_variational_characterization,
 )
-from mixspec import spectral
+from mixspec import _toeplitz, spectral
 from mixspec.cli import main
 from mixspec.interpolation import interpolation_gram
-from mixspec.spectral import THRESHOLD_RTOL, _count_below, _positive_definite
+from mixspec.spectral import THRESHOLD_RTOL
 
 
 def _peak_doubles(call) -> float:
@@ -188,7 +189,7 @@ class TestGammaShift:
     def test_routes_without_a_cholesky_attempt(self, base63, monkeypatch):
         # alpha >= 0 is a closed form, with no solve; alpha < 0 goes straight to
         # the eigensolve, also where gamma is 0 (-1/(2 C_h) < alpha < 0)
-        monkeypatch.setattr(spectral, "_positive_definite", _forbidden)
+        monkeypatch.setattr(_toeplitz, "definite", _forbidden)
         for alpha, gamma_is_zero in ((-0.01, True), (-50.0, False)):
             gamma, route = gamma_shift(base63.with_alpha(alpha), with_route=True)
             assert (gamma == 0.0) == gamma_is_zero and route["route"] == "dense"
@@ -307,7 +308,7 @@ class TestSineBasis:
         coupled = base.with_alpha(-3.0)
         assert coupled.basis is base.basis
         # a coupling and its Cholesky step build nothing in the sine basis
-        _positive_definite(coupled.a_alpha)
+        _toeplitz.definite(coupled.column)
         assert "fractional" not in base.basis.__dict__
         solve_spectrum(coupled, 2)
         b_mat = base.basis.fractional
@@ -443,53 +444,6 @@ class TestShiftInvert:
             assert result[0].solver["spectrum"]["route"] == "shift_invert"
             assert peak < 100 * n, (alpha, peak / n)
 
-    @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(min_value=1, max_value=300),
-           s=st.floats(min_value=0.05, max_value=0.95),
-           alpha=st.floats(min_value=-50.0, max_value=50.0),
-           below=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=1, s=0.5, alpha=-3.0, below=0.5, seed=0)
-    @example(n=2, s=0.3, alpha=5.0, below=0.5, seed=0)
-    @example(n=300, s=0.95, alpha=-50.0, below=0.0, seed=0)
-    def test_durbin_pivots_and_gohberg_semencul(self, n, s, alpha, below, seed):
-        """The structured kernel against the dense LAPACK answers.
-
-        T = A_alpha - sigma M, sigma the symbol floor lowered by ``below``
-        times the diagonal ratio |a_0/m_0|: at below = 0 it is the shift of
-        the route itself, within 1e-8 of singular.  Durbin's pivots equal
-        the squared diagonal of the Cholesky factor within 16 n eps
-        relative, and the Gohberg-Semencul product equals LAPACK's positive
-        definite solve within 2 n cond(T) eps relative, with a normwise
-        backward error within n eps.  Over 2000 random draws (a fifth of
-        them with |alpha| in [1e-12, 1]) these read at most 5.7 n eps,
-        0.49 n cond(T) eps and 0.38 n eps.
-        """
-        pencil = assemble_pencil(build_mesh(0.0, 1.0, n), s, alpha)
-        mass = pencil.mass.column
-        sigma = (spectral._symbol_floor(pencil.column, mass)
-                 - below * abs(pencil.column[0] / mass[0]))
-        column = mass * -sigma + pencil.column
-        dense = scipy.linalg.toeplitz(column)
-        try:
-            factor = scipy.linalg.cholesky(dense, lower=True)
-        except scipy.linalg.LinAlgError:  # the floor is exact at n = 1
-            assert n == 1 and below == 0.0
-            return
-        eps = np.finfo(float).eps
-        pivots, predictor = spectral._toeplitz_pivots(column)
-        squares = np.diag(factor) ** 2
-        assert np.all(np.abs(pivots - squares) <= 16 * n * eps * squares)
-        assert predictor[0] == 1.0
-        v = np.random.default_rng(seed).standard_normal(n)
-        found = spectral._gohberg_semencul(pivots[-1], predictor)(v)
-        exact = scipy.linalg.solve(dense, v, assume_a="pos")
-        error = np.linalg.norm(found - exact) / np.linalg.norm(exact)
-        assert error <= 2 * n * np.linalg.cond(dense) * eps
-        backward = np.linalg.norm(dense @ found - v) / (np.linalg.norm(dense, 1)
-                                                        * np.linalg.norm(found))
-        assert backward <= n * eps
-
     def test_refused_pivot_falls_back(self, shift_invert_everywhere, monkeypatch):
         # no pivot of an n >= 2 matrix with a nonzero off-diagonal reaches its
         # 1-norm, so at PIVOT_RTOL = 1 every positive pivot is refused
@@ -506,7 +460,7 @@ class TestShiftInvert:
     @pytest.mark.parametrize("column", [[1.0, 1.0, 0.25, 0.0], [0.0, 1.0], [-2.0, 0.5, 0.1]])
     def test_zero_or_negative_pivot_is_refused(self, monkeypatch, column):
         # a zero leading pivot or minor gives NaN pivots, not an exception
-        monkeypatch.setattr(spectral, "_symbol_floor", lambda column, mass_column: 0.0)
+        monkeypatch.setattr(_toeplitz, "symbol_floor", lambda column, mass_column: 0.0)
         found, shift, reason = spectral._shift_invert(np.array(column), np.ones(len(column)), 1)
         assert found is None and shift == 0.0
         assert reason.startswith("a Durbin pivot at the shift is below")
@@ -515,7 +469,7 @@ class TestShiftInvert:
         pencil = assemble_pencil(build_mesh(0.0, 1.0, 63), 0.4, -3.0)
         dense = solve_spectrum(pencil, 3)
         shift = float(dense.lambdas[0]) + 1.0
-        monkeypatch.setattr(spectral, "_symbol_floor", lambda column, mass_column: shift)
+        monkeypatch.setattr(_toeplitz, "symbol_floor", lambda column, mass_column: shift)
         res = solve_spectrum(pencil, 3)
         for route in res.solver.values():
             assert route["route"] == "dense" and route["shift"] == shift
@@ -709,19 +663,6 @@ class TestSpectrumCertificate:
         assert rep["below_tie"] == rep["computed_below_tie"] == 4
         assert rep["holds"]
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           n=st.integers(min_value=1, max_value=40),
-           diagonal=st.sampled_from([0.0, 1e-3, 1.0]))
-    def test_inertia_count_matches_eigvalsh(self, seed, n, diagonal):
-        # a small diagonal forces 2x2 pivots
-        rng = np.random.default_rng(seed)
-        sym = rng.standard_normal((n, n))
-        sym = sym + sym.T
-        np.fill_diagonal(sym, diagonal * rng.standard_normal(n))
-        expected = int(np.count_nonzero(np.linalg.eigvalsh(sym) < 0.0))
-        assert _count_below(np.asfortranarray(sym)) == expected
-
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.sampled_from([31, 63]),
@@ -739,67 +680,7 @@ class TestSpectrumCertificate:
         assert rep["below_lower"] == np.count_nonzero(every < rep["lower_shift"]) == 0
 
 
-def _p1_eigenvalues(n):
-    """Closed-form eigenvalues (6/h^2)(1 - cos t_j)/(2 + cos t_j) of (A_loc, M) on (0, 1), ascending."""
-    h = 1.0 / (n + 1)
-    t = np.arange(1, n + 1) * math.pi / (n + 1)
-    return 6.0 * (1.0 - np.cos(t)) / (h * h * (2.0 + np.cos(t)))
-
-
 class TestTridiagonalCertificate:
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(min_value=1, max_value=300), j=st.integers(min_value=0, max_value=299),
-           where=st.sampled_from(["at", "ulp_above", "ulp_below", "between", "below_all"]))
-    @example(n=1, j=0, where="at")
-    @example(n=1, j=0, where="ulp_below")
-    @example(n=1, j=0, where="between")
-    @example(n=1, j=0, where="below_all")
-    @example(n=2, j=1, where="at")
-    @example(n=2, j=0, where="ulp_above")
-    @example(n=2, j=0, where="between")
-    @example(n=2, j=1, where="between")
-    def test_counts_match_dense(self, n, j, where):
-        """The O(n) inertia of A_loc - sigma M against the dense LAPACK factorizations.
-
-        Where no eigenvalue lies within the rounding band of the shift (the
-        certificate's margin formula, with the norms of the unshifted forms,
-        plus 8 ulps of sigma for the closed form), the count is determined:
-        both routes must give it, and definiteness exactly when it is 0.
-        At a shift on an eigenvalue or 1 ulp off it, the two routes round
-        differently and each may or may not count that eigenvalue (in
-        random draws they disagreed about once in 25), so both must lie
-        between the counts at the ends of the band.
-        """
-        mesh = build_mesh(0.0, 1.0, n)
-        local, mass = assemble_local_stiffness(mesh).column, assemble_mass(mesh).column
-        eigenvalues = _p1_eigenvalues(n)
-        j %= n
-        lam = eigenvalues[j]
-        upper = eigenvalues[j + 1] if j + 1 < n else 2.0 * lam
-        sigma = {"at": lam, "ulp_above": np.nextafter(lam, math.inf),
-                 "ulp_below": np.nextafter(lam, -math.inf), "between": 0.5 * (lam + upper),
-                 "below_all": 0.5 * eigenvalues[0]}[where]
-        column = mass * -sigma + local
-        count = spectral._tridiagonal_count_below(column)
-        definite = spectral._tridiagonal_definite(column)
-        dense_count = _count_below(np.asfortranarray(scipy.linalg.toeplitz(column)))
-        dense_definite = _positive_definite(np.asfortranarray(scipy.linalg.toeplitz(column)))
-
-        eps = np.finfo(float).eps
-        mass_min = mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
-        band = (n * eps * (spectral._toeplitz_norm_1(local) + sigma * spectral._toeplitz_norm_1(mass))
-                / mass_min + 8.0 * eps * sigma)
-        low = int(np.count_nonzero(eigenvalues < sigma - band))
-        high = int(np.count_nonzero(eigenvalues < sigma + band))
-        if where in ("between", "below_all"):
-            assert low == high
-        if low == high:
-            assert count == dense_count == low
-            assert definite == dense_definite == (low == 0)
-        else:
-            assert low <= count <= high and low <= dense_count <= high
-            assert not (definite or dense_definite) or low == 0
-
     @pytest.mark.parametrize("column, below", [
         ([0.0], 0), ([-0.0], 0), ([1.0, 1.0], 0), ([1.0, -1.0], 0), ([2.0, 1.0], 0),
         ([0.0, 1.0], 1), ([1.0, 1.0, 0.0], 1), ([0.0, 1.0, 0.0, 0.0], 2),
@@ -811,14 +692,13 @@ class TestTridiagonalCertificate:
         # eigenvalues strictly below the shift, and neither is definite
         # unless every eigenvalue is positive
         column = np.array(column)
-        n = column.size
-        dense = np.asfortranarray(scipy.linalg.toeplitz(column))
-        every = np.linalg.eigvalsh(dense)
-        assert spectral._tridiagonal_count_below(column) == below
-        assert _count_below(dense.copy(order="F")) == below
-        definite = bool(np.all(every > 0.0))
-        assert spectral._tridiagonal_definite(column) == definite
-        assert _positive_definite(dense.copy(order="F")) == definite
+        definite = bool(np.all(np.linalg.eigvalsh(scipy.linalg.toeplitz(column)) > 0.0))
+        assert _toeplitz.banded(column)
+        assert _toeplitz.count_below(column) == below
+        assert _toeplitz.definite(column) == definite
+        with mock.patch.object(_toeplitz, "banded", return_value=False):  # the LAPACK route
+            assert _toeplitz.count_below(column) == below
+            assert _toeplitz.definite(column) == definite
 
     @pytest.mark.parametrize("n, alpha", [(1, -7.0), (2, 3.0), (2, -40.0), (63, 0.0), (2047, 0.0)])
     def test_contract_without_dense_factorization(self, n, alpha, monkeypatch):
@@ -826,22 +706,8 @@ class TestTridiagonalCertificate:
         # index 1, and the certificate counts on its two entries
         pencil = assemble_pencil(build_mesh(0.0, 1.0, n), 0.4, alpha)
         result = solve_spectrum(pencil, min(n, 5))
-        monkeypatch.setattr(spectral, "_count_below", _forbidden)
-        monkeypatch.setattr(spectral, "_positive_definite", _forbidden)
+        monkeypatch.setattr(scipy.linalg, "toeplitz", _forbidden)
         assert check_contract(result, pencil)["holds"]
-
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(min_value=1, max_value=300), seed=st.integers(0, 2**32 - 1),
-           decay=st.floats(min_value=0.0, max_value=5.0))
-    @example(n=2047, seed=0, decay=0.0)
-    def test_toeplitz_norm_1_matches_dlange(self, n, seed, decay):
-        # each column sum is a recursive sum of n nonnegative terms, within
-        # (n - 1) eps relative of the exact sum on either route, so the two
-        # agree to 2 n ulps of the norm; the measured gap was at most 0.19 n
-        rng = np.random.default_rng(seed)
-        column = rng.standard_normal(n) * np.exp(-decay * np.arange(n) / max(n, 1) * 20.0)
-        dense = scipy.linalg.lapack.dlange("1", scipy.linalg.toeplitz(column))
-        assert abs(spectral._toeplitz_norm_1(column) - dense) <= 2 * n * np.spacing(dense)
 
 
 def _rotate_first_two(res):
@@ -964,21 +830,23 @@ class TestSweepAndThreshold:
         assert th["holds"] is True
 
     def test_threshold_certified_bracket(self, base63, monkeypatch):
-        # exactly two Cholesky attempts, on the dense A_alpha at the two shifts
+        # exactly two definiteness tests, of A_alpha's column at the two shifts,
+        # each a dense Cholesky attempt at n = 63
         tested = []
-        positive = spectral._positive_definite
+        definite = _toeplitz.definite
 
-        def recording(matrix, **kwargs):
-            tested.append(np.array(matrix))
-            return positive(matrix, **kwargs)
+        def recording(column):
+            tested.append(np.array(column))
+            return definite(column)
 
-        monkeypatch.setattr(spectral, "_positive_definite", recording)
+        monkeypatch.setattr(_toeplitz, "definite", recording)
         th = locate_threshold(base63)
         c_h = th["embedding_constant"]
         shifts = [(-1.0 - THRESHOLD_RTOL) / c_h, (-1.0 + THRESHOLD_RTOL) / c_h]
         assert len(tested) == 2
-        for matrix, alpha in zip(tested, shifts):
-            np.testing.assert_array_equal(matrix, base63.with_alpha(alpha).a_alpha)
+        for column, alpha in zip(tested, shifts):
+            np.testing.assert_array_equal(column, base63.with_alpha(alpha).column)
+            assert not _toeplitz.banded(column)
         assert th["holds"] is True
 
     def test_threshold_no_bracket(self, base63, monkeypatch):
@@ -1024,7 +892,7 @@ class TestCholeskyInertia:
         base, c_h = inertia_bases[n]
         pencil = base.with_alpha(-ratio / c_h)
         lam1 = solve_spectrum(pencil, 1).lambdas[0]
-        assert _positive_definite(pencil.a_alpha) == (lam1 > 0.0)
+        assert _toeplitz.definite(pencil.column) == (lam1 > 0.0)
 
 
 class TestGammaCertificate:
