@@ -81,17 +81,17 @@ def _parse_matrix_block(lines: list[str], start: int, path) -> tuple[MatrixFile,
         raise FormatError(f"{path}: matrix block must be at least 1 x 1, got {rows} x {cols}")
     if start + rows >= len(lines):
         raise FormatError(f"{path}: truncated matrix block")
-    # rows are checked before one array is built, so a header's counts allocate nothing
+    # each row is checked before it is parsed, so a header's counts allocate nothing
     parsed = []
     for i in range(rows):
         parts = lines[start + 1 + i].split()
         if len(parts) != cols:
             raise FormatError(f"{path}: row {i} has {len(parts)} values, expected {cols}")
         try:
-            parsed.append([float(v) for v in parts])
+            parsed.append(np.array(parts, dtype=float))
         except ValueError as exc:
             raise FormatError(f"{path}: unparseable value in row {i}") from exc
-    data = np.array(parsed)
+    data = np.stack(parsed)
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: matrix block holds non-finite values")
     return MatrixFile(data=data, kind=kind, s=s), start + 1 + rows

@@ -146,7 +146,7 @@ class TestDurbin:
     @example(n=2, s=0.3, alpha=5.0, below=0.5, seed=0)
     @example(n=300, s=0.95, alpha=-50.0, below=0.0, seed=0)
     def test_durbin_pivots_and_gohberg_semencul(self, n, s, alpha, below, seed):
-        """The structured kernels against the dense LAPACK answers.
+        """The structured kernel against the dense LAPACK answers.
 
         T = A_alpha - sigma M, sigma the symbol floor lowered by ``below``
         times the diagonal ratio |a_0/m_0|: at below = 0 it is the shift of
@@ -154,11 +154,9 @@ class TestDurbin:
         the squared diagonal of the Cholesky factor within 16 n eps
         relative, and the Gohberg-Semencul product equals LAPACK's positive
         definite solve within 2 n cond(T) eps relative, with a normwise
-        backward error within max(n, 8) eps.  Over 2000 random draws (a
-        fifth of them with |alpha| in [1e-12, 1]) these read at most 5.7 n
-        eps, 0.49 n cond(T) eps and 0.38 n eps.  Below n = 8 the FFTs' own
-        rounding is not within n eps: over 1500 draws per n it read up to
-        3.5 eps at n = 2 and 5.0 eps for n <= 12.
+        backward error within n eps.  Over 2000 random draws (a fifth of
+        them with |alpha| in [1e-12, 1]) these read at most 5.7 n eps,
+        0.49 n cond(T) eps and 0.38 n eps.
         """
         pencil = assemble_pencil(build_mesh(0.0, 1.0, n), s, alpha)
         mass = pencil.mass.column
@@ -183,4 +181,4 @@ class TestDurbin:
         assert error <= 2 * n * np.linalg.cond(dense) * eps
         backward = np.linalg.norm(dense @ found - v) / (np.linalg.norm(dense, 1)
                                                         * np.linalg.norm(found))
-        assert backward <= max(n, 8) * eps
+        assert backward <= n * eps
