@@ -58,7 +58,6 @@ from .spectral import (
     SpectrumResult,
     SweepTable,
     assemble_pencil,
-    certify_spectrum,
     check_contract,
     embedding_constant,
     gamma_shift,

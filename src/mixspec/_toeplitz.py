@@ -154,14 +154,17 @@ def backward_error(column: np.ndarray, mass_column: np.ndarray, lambdas: np.ndar
 def definite(column: np.ndarray) -> bool:
     """Whether T is positive definite (Sylvester inertia).
 
-    A banded column must be finite, and its Sturm pass (``_sturm``) must
-    find no negative pivot and a positive last one: a zero pivot before the
-    last makes the next negative.  Otherwise one Cholesky attempt of a
-    fresh dense T, factored in place.
+    A non-finite column never is, though potrf factors some without error.
+    A banded column's Sturm pass (``_sturm``) must find no negative pivot
+    and a positive last one: a zero pivot before the last makes the next
+    negative.  Otherwise one Cholesky attempt of a fresh dense T, factored
+    in place.
     """
+    if not np.isfinite(column).all():
+        return False
     if banded(column):
         negative, last = _sturm(column)
-        return negative == 0 and last > 0.0 and bool(np.isfinite(column[:2]).all())
+        return negative == 0 and last > 0.0
     try:
         # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
         scipy.linalg.cholesky(scipy.linalg.toeplitz(column).T, overwrite_a=True, check_finite=False)

@@ -172,7 +172,8 @@ _CONFIG_PARSERS = {
     "f": str,
     "x": str,
     "suites": str,
-    "vectors": lambda v: v.lower() in ("1", "true", "yes"),
+    "vectors": lambda v: {"1": True, "true": True, "yes": True,
+                          "0": False, "false": False, "no": False}[v.lower()],
 }
 
 
@@ -185,7 +186,7 @@ def _resolve(args: argparse.Namespace) -> dict:
                 raise ParameterError(f"unknown config key {key!r}")
             try:
                 cfg[key] = _CONFIG_PARSERS[key](raw)
-            except ValueError as exc:
+            except (KeyError, ValueError) as exc:
                 raise ParameterError(f"bad config value for {key!r}: {raw!r}") from exc
     for key in _DEFAULTS:
         flag_val = getattr(args, key, None)

@@ -49,22 +49,21 @@ the eigenvalues of (A_alpha + gamma M)^{-1} M, is a check in the tests and
 the verify suite, not the solver.
 
 Every result is checked in the original basis, by a route independent of
-the solve and without a dense A_alpha or M: residuals, orthonormality and
-the attained quotients multiply by M's three-term stencil and by A_alpha as
-A_loc's stencil plus an FFT Toeplitz product of A_frac (``_pencil_times``).
-That lambda_1..lambda_k are the k smallest eigenvalues, the min-max
-characterization, is certified by Sylvester inertia
-(``certify_spectrum``): the shifted column just below lambda_1 must be
-``_toeplitz.definite``, and ``_toeplitz.count_below`` just above lambda_k
-must find exactly k, which proves it for every direction at once.  These
-two kernels check the shift-invert route independently of its own
-factorization, and the matrices they factor are the only n x n arrays
-the checks build.
-The sampled Rayleigh-quotient check
-``verify_variational_characterization`` stays as the independent randomized
-route of the tests and the verify suite.  ``check_contract`` is the one
+the solve and without a dense A_alpha or M.  ``check_contract`` is the one
 statement of the spectrum contract, with its tolerances; the CLI and the
-verify suite only read its flags.
+verify suite only read its flags.  It multiplies the eigenvectors once by
+M's three-term stencil and once by A_alpha as A_loc's stencil plus an FFT
+Toeplitz product of A_frac (``_pencil_times``), as the solver's residuals
+do, and its flags read those two products.  Its certificate proves by
+Sylvester inertia that lambda_1..lambda_k are the k smallest eigenvalues,
+the min-max characterization: the shifted column just below lambda_1 must
+be ``_toeplitz.definite``, and ``_toeplitz.count_below`` just above
+lambda_k must find exactly k, which proves it for every direction at once.
+These two kernels check the shift-invert route independently of its own
+factorization, and the matrices they factor are the only n x n arrays the
+checks build.  The sampled Rayleigh-quotient check
+``verify_variational_characterization`` stays as the independent randomized
+route of the tests and the verify suite.
 
 The coupling threshold where lambda_1 changes sign is exactly
 alpha* = -1/C_h, with C_h the largest eigenvalue of (A_frac, A_loc): the
@@ -110,7 +109,6 @@ __all__ = [
     "embedding_constant",
     "gamma_shift",
     "solve_spectrum",
-    "certify_spectrum",
     "check_contract",
     "verify_variational_characterization",
     "sweep_alpha",
@@ -366,8 +364,8 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
     1/(lambda - sigma) of the operator T^-1 M, which ARPACK's implicitly
     restarted Lanczos finds in the M inner product (Grimes, Lewis and Simon
     1994), are the k lowest of the pencil; their vectors come out
-    M-orthonormal.  ``certify_spectrum``'s inertia count proves the result
-    by an independent route.
+    M-orthonormal.  The inertia count of ``check_contract``'s certificate
+    proves the result by an independent route.
 
     PIVOT_RTOL lies between two measurements.  At the symbol floor the
     smallest pivot was at least 0.043 ||T||_1 over 600 random pencils
@@ -385,9 +383,9 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
     result is a function of the inputs; it is a ramp, not the constant
     vector: the pencil commutes with the flip of the mesh, and a flip-even
     start would reach the flip-odd eigenvectors through rounding only.
-    Lanczos can still miss one copy of a near-multiple eigenvalue;
-    ``certify_spectrum``'s inertia count then fails, so the miss never
-    passes silently.
+    Lanczos can still miss one copy of a near-multiple eigenvalue; the
+    certificate's inertia count then fails, so the miss never passes
+    silently.
     """
     # imported where it solves, so that importing mixspec.cli loads no scipy.sparse
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -417,7 +415,7 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
         return None, shift, f"ARPACK: {exc}"
     # ARPACK converges on the shifted operator, not on the pencil.  A backward
     # error at the rounding level of a dense solve bounds each value's error
-    # by about certify_spectrum's margin; NaN fails the test too.  The reason
+    # by about the certificate's margin; NaN fails the test too.  The reason
     # carries no figure: on pencils of rounding noise the figure is not
     # reproducible from one process to the next
     error = _toeplitz.backward_error(column, mass_column, lambdas, vectors)
@@ -547,7 +545,51 @@ def _column_norms(r: np.ndarray) -> np.ndarray:
     return unit * np.linalg.norm(r / unit, axis=0)
 
 
-def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
+def check_contract(result: SpectrumResult, pencil: MixedPencil) -> dict:
+    """The spectrum contract of one solve: its flags, their errors and ``holds``.
+
+    max |V^T M V - I| <= 1e-8; off-diagonal of V^T A_alpha V <= 1e-6 times
+    its largest diagonal; the solver's residuals <= tol = 1e-8 (1 + |lambda|);
+    the lower bound; and the certificate ``variational``.  ``holds`` is their
+    conjunction.  V is multiplied by M and by A_alpha once, and every other
+    flag reads those two products.
+
+    The lower bound is exact: lambda_1 is a minimum of affine functions of
+    alpha, so it is concave, lambda_1(alpha) >= (lambda_1(0) + lambda_1(2 alpha))/2,
+    and with gamma = max(0, -lambda_1(2 alpha)/2) this gives
+    lambda_1 + gamma >= lambda_1^loc/2.  Here lambda_1^loc =
+    (6/h^2)(1 - cos t)/(2 + cos t), t = pi/(n+1), is the closed-form lowest
+    P1 eigenvalue; the flag allows tol_1.
+    """
+    h, t = pencil.mesh.h, math.pi / (pencil.n + 1)
+    # Python floats: an overflow gives inf, with no warning
+    local_1 = 12.0 * math.sin(0.5 * t) ** 2 / ((2.0 + math.cos(t)) * h) / h
+    lambdas, v = result.lambdas, result.vectors
+    tol = 1e-8 * (1.0 + np.abs(lambdas))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mv = _toeplitz.times(pencil.mass.column, v)
+        av = _pencil_times(pencil, v)
+        m_err = float(np.max(np.abs(v.T @ mv - np.eye(v.shape[1]))))
+        b_mat = v.T @ av
+        attained = np.einsum("ij,ij->j", v, av) / np.einsum("ij,ij->j", v, mv)
+    b_scale = float(np.max(np.abs(np.diag(b_mat))))
+    b_err = float(np.max(np.abs(b_mat - np.diag(np.diag(b_mat)))))
+    contract = {
+        "m_orthonormality_error": m_err,
+        "m_orthonormality_holds": m_err <= 1e-8,
+        "b_orthogonality_error": b_err,
+        "b_orthogonality_holds": b_err <= 1e-6 * b_scale,
+        "residuals_hold": bool(np.all(result.residuals <= tol)),
+        "lower_bound_holds": bool(float(lambdas[0]) + result.gamma >= 0.5 * local_1 - tol[0]),
+        "variational": _certificate(pencil, lambdas, attained, tol),
+    }
+    contract["holds"] = (all(contract[key] for key in CONTRACT_FLAGS)
+                         and contract["variational"]["holds"])
+    return contract
+
+
+def _certificate(pencil: MixedPencil, lambdas: np.ndarray, attained: np.ndarray,
+                 tol: np.ndarray) -> dict:
     """Certify by Sylvester inertia that the computed values are the k smallest.
 
     The number of eigenvalues of (A_alpha, M) below sigma equals the number
@@ -569,21 +611,16 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     shift ties with lambda_k to within delta_k.  Each question builds at
     most one n x n array, so one is alive at a time.
 
-    The shift is delta = max(1e-8 (1 + |lambda|), margin).  The margin
-    n eps max ||A_alpha - lambda M||_1 / lambda_min(M), over lambda in
-    {lambda_1, lambda_k}, bounds the rounding of the factorizations in
-    eigenvalue units; the 1-norms are ``_toeplitz.norm_1`` of the shifted
-    columns, and lambda_min(M) = h (2 + cos(n pi/(n+1)))/3 is the
-    closed-form smallest eigenvalue of the P1 mass matrix.  Each u_k must
-    also attain lambda_k: |u_k^T A u_k / u_k^T M u_k - lambda_k| <= 1e-8 (1 + |lambda_k|),
-    with A u_k from ``_pencil_times`` and M u_k from the stencil.  Nothing
-    is drawn at random.
+    The shift is delta = max(tol, margin), tol being ``check_contract``'s.
+    The margin n eps max ||A_alpha - lambda M||_1 / lambda_min(M), over
+    lambda in {lambda_1, lambda_k}, bounds the rounding of the
+    factorizations in eigenvalue units; the 1-norms are ``_toeplitz.norm_1``
+    of the shifted columns, and lambda_min(M) = h (2 + cos(n pi/(n+1)))/3 is
+    the closed-form smallest eigenvalue of the P1 mass matrix.  Each u_k
+    must also attain lambda_k: |``attained``_k - lambda_k| <= tol_k.
+    Nothing is drawn at random.
     """
-    lambdas, vectors = result.lambdas, result.vectors
     n, k = pencil.n, lambdas.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        attained = (np.einsum("ij,ij->j", vectors, _pencil_times(pencil, vectors))
-                    / np.einsum("ij,ij->j", vectors, _toeplitz.times(pencil.mass.column, vectors)))
 
     def shifted(sigma):
         return pencil.mass.column * -sigma + pencil.column
@@ -591,8 +628,7 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
     norm = max(_toeplitz.norm_1(shifted(lam)) for lam in (lambdas[0], lambdas[-1]))
     margin = float(n * np.finfo(float).eps * norm / mass_min)
-    delta_1 = max(1e-8 * (1.0 + abs(lambdas[0])), margin)
-    delta_k = max(1e-8 * (1.0 + abs(lambdas[-1])), margin)
+    delta_1, delta_k = max(tol[0], margin), max(tol[-1], margin)
     lower, upper = float(lambdas[0] - delta_1), float(lambdas[-1] + delta_k)
     below_lower = (0 if _toeplitz.definite(shifted(lower))
                    else _toeplitz.count_below(shifted(lower)))
@@ -616,52 +652,11 @@ def certify_spectrum(result: SpectrumResult, pencil: MixedPencil) -> dict:
     per_k = []
     for j in range(k):
         lam, quotient = lambdas[j], float(attained[j])
-        holds = bool(abs(quotient - lam) <= 1e-8 * (1.0 + abs(lam)))
+        holds = bool(abs(quotient - lam) <= tol[j])
         per_k.append({"k": j + 1, "lambda": float(lam), "attained": quotient, "holds": holds})
     report["holds"] = counts_hold and all(row["holds"] for row in per_k)
     report["per_k"] = per_k
     return report
-
-
-def check_contract(result: SpectrumResult, pencil: MixedPencil) -> dict:
-    """The spectrum contract of one solve: its flags, their errors and ``holds``.
-
-    max |V^T M V - I| <= 1e-8; off-diagonal of V^T A_alpha V <= 1e-6 times
-    its largest diagonal; residuals <= 1e-8 (1 + |lambda|); the lower bound;
-    and ``variational`` (``certify_spectrum``).  ``holds`` is their conjunction.
-
-    The lower bound is exact: lambda_1 is a minimum of affine functions of
-    alpha, so it is concave, lambda_1(alpha) >= (lambda_1(0) + lambda_1(2 alpha))/2,
-    and with gamma = max(0, -lambda_1(2 alpha)/2) this gives
-    lambda_1 + gamma >= lambda_1^loc/2.  Here lambda_1^loc =
-    (6/h^2)(1 - cos t)/(2 + cos t), t = pi/(n+1), is the closed-form lowest
-    P1 eigenvalue; the flag allows 1e-8 (1 + |lambda_1|).
-    """
-    h, t = pencil.mesh.h, math.pi / (pencil.n + 1)
-    # Python floats: an overflow gives inf, with no warning
-    local_1 = 12.0 * math.sin(0.5 * t) ** 2 / ((2.0 + math.cos(t)) * h) / h
-    lam_1 = float(result.lambdas[0])
-    v = result.vectors
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_err = float(np.max(np.abs(v.T @ _toeplitz.times(pencil.mass.column, v)
-                                    - np.eye(v.shape[1]))))
-        b_mat = v.T @ _pencil_times(pencil, v)
-    b_scale = float(np.max(np.abs(np.diag(b_mat))))
-    b_err = float(np.max(np.abs(b_mat - np.diag(np.diag(b_mat)))))
-    contract = {
-        "m_orthonormality_error": m_err,
-        "m_orthonormality_holds": m_err <= 1e-8,
-        "b_orthogonality_error": b_err,
-        "b_orthogonality_holds": b_err <= 1e-6 * b_scale,
-        "residuals_hold": bool(np.all(
-            result.residuals <= 1e-8 * (1.0 + np.abs(result.lambdas)))),
-        "lower_bound_holds": bool(
-            lam_1 + result.gamma >= 0.5 * local_1 - 1e-8 * (1.0 + abs(lam_1))),
-        "variational": certify_spectrum(result, pencil),
-    }
-    contract["holds"] = (all(contract[key] for key in CONTRACT_FLAGS)
-                         and contract["variational"]["holds"])
-    return contract
 
 
 def verify_variational_characterization(result: SpectrumResult, pencil: MixedPencil,
@@ -675,7 +670,7 @@ def verify_variational_characterization(result: SpectrumResult, pencil: MixedPen
     lambda_k - 1e-8 (1 + |lambda_k|), and u_k itself must attain lambda_k.
     The eigenvector quotient is included in the reported sampled minimum.
     This proves the bound for the sampled directions only; it is the
-    randomized route that checks ``certify_spectrum`` at small n.
+    randomized route that checks ``check_contract``'s certificate at small n.
 
     The mass products of the sample block use the three-term stencil of M's
     column, in O(n) per sample; A_alpha is dense and multiplies the block

@@ -500,6 +500,29 @@ class TestNumericFlagFuzz:
                           "--out", str(tmp_path)], capsys)
         assert code == self._seed_exit(seed)
 
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(spectral.SHIFT_INVERT_MIN_N, 600), k=st.integers(1, 5),
+           s=st.one_of(st.sampled_from([5e-324, 1e-12, 1.0 - 1e-16, 1.0 - 1e-6]),
+                       st.floats(0.0, 1.0)),
+           alpha=st.one_of(st.sampled_from([1e300, -1e300, 1e-300, -1e-300, -3.0, 5.0,
+                                            math.inf, math.nan]),
+                           st.floats(-100.0, 100.0)))
+    def test_spectrum_shift_invert_sizes(self, tmp_path, capsys, n, k, s, alpha):
+        # at these n, k <= 5 takes the shift-invert route or its recorded
+        # fallback; exit 1 is a failed contract, whose report says which flag
+        # failed, or an eigensolve that failed with one error line
+        code = main(["spectrum", "--n", str(n), "--k", str(k), "--s", repr(s),
+                     f"--alpha={alpha!r}", "--out", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code in (0, 1, 2)
+        assert len(lines) <= 1 and all(line.startswith("error:") for line in lines)
+        assert bool(lines) == (code == 2) or code == 1
+        if code == 1 and not lines:
+            report = json.loads((tmp_path / "spectrum_report.json").read_text())
+            assert not all([report[key] for key in spectral.CONTRACT_FLAGS]
+                           + [report["variational"]["holds"]])
+
     @staticmethod
     def _at_most_64(token):
         """False only for a token that parses as an int above 64."""
@@ -727,13 +750,27 @@ class TestConfigFile:
         assert block.data.shape == (9, 9)
 
     @pytest.mark.parametrize("line", ["alpha_range = -1 1", "domain = 0", "domain = 0 1 2",
-                                      UNDECODABLE, b"couple = a\x00b"])
+                                      UNDECODABLE, b"couple = a\x00b", "vectors = ture",
+                                      "vectors = on"])
     def test_value_count(self, tmp_path, capsys, line):
+        # each bad value exits 2 with one error line; a misspelt switch is
+        # refused, not read as false
         config = tmp_path / "run.cfg"
         config.write_bytes(line if isinstance(line, bytes) else (line + "\n").encode())
         assert main(["sweep", "--n", "7", "--alpha", "1", "--config", str(config),
                      "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value, written", [("TRUE", True), ("yes", True), ("no", False),
+                                                ("False", False)])
+    def test_vectors_switch(self, tmp_path, value, written):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"vectors = {value}\n")
+        out = tmp_path / "out"
+        assert main(["spectrum", "--n", "7", "--alpha=-2", "--k", "2", "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert (out / "eigenvector_1.txt").exists() is written
 
     def test_bad_key(self, tmp_path):
         config = tmp_path / "run.cfg"

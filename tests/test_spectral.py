@@ -20,7 +20,6 @@ from mixspec import (
     assemble_mass,
     assemble_pencil,
     build_mesh,
-    certify_spectrum,
     check_contract,
     couple_from_grams,
     embedding_constant,
@@ -517,7 +516,7 @@ class TestShiftInvert:
         kept = [j for j in range(6) if j != dropped]
         missed = dataclasses.replace(res, lambdas=res.lambdas[kept], vectors=res.vectors[:, kept],
                                      residuals=res.residuals[kept])
-        rep = certify_spectrum(missed, pencil)
+        rep = check_contract(missed, pencil)["variational"]
         assert all(row["holds"] for row in rep["per_k"])
         assert rep["below_upper"] == 6 and not rep["holds"]
 
@@ -612,7 +611,7 @@ class TestSpectrumCertificate:
         res = solve_spectrum(base63, 3)
         lambdas = res.lambdas.copy()
         lambdas[1] *= 1.0 + 1e-6
-        rep = certify_spectrum(dataclasses.replace(res, lambdas=lambdas), base63)
+        rep = check_contract(dataclasses.replace(res, lambdas=lambdas), base63)["variational"]
         assert not rep["holds"]
         assert [row["holds"] for row in rep["per_k"]] == [True, False, True]
 
@@ -621,7 +620,7 @@ class TestSpectrumCertificate:
         lambdas, vectors = scipy.linalg.eigh(base63.a_alpha, base63.mass.data)
         res = solve_spectrum(base63, 1)
         fake = dataclasses.replace(res, lambdas=lambdas[-1:], vectors=vectors[:, -1:])
-        rep = certify_spectrum(fake, base63)
+        rep = check_contract(fake, base63)["variational"]
         assert not rep["holds"]
         assert rep["per_k"][0]["holds"]
         assert rep["below_lower"] == 62 and rep["below_upper"] == 63
@@ -632,7 +631,7 @@ class TestSpectrumCertificate:
         # below the upper shift, with j = 1 the count is right but lambda_1 lies below
         res = solve_spectrum(base63, 2)
         fake = dataclasses.replace(res, lambdas=res.lambdas[[j, j]], vectors=res.vectors[:, [j, j]])
-        rep = certify_spectrum(fake, base63)
+        rep = check_contract(fake, base63)["variational"]
         assert not rep["holds"]
         assert (rep["below_lower"], rep["below_upper"]) == counts
         assert all(row["holds"] for row in rep["per_k"])
@@ -644,10 +643,11 @@ class TestSpectrumCertificate:
         pencil = base63.with_alpha(-1.0)
         res = solve_spectrum(pencil, 4)
         kept = [j for j in range(4) if j != skipped]
-        fake = dataclasses.replace(res, lambdas=res.lambdas[kept], vectors=res.vectors[:, kept])
+        fake = dataclasses.replace(res, lambdas=res.lambdas[kept], vectors=res.vectors[:, kept],
+                                   residuals=res.residuals[kept])
         sampled = verify_variational_characterization(fake, pencil, rng=np.random.default_rng(6))
         assert sampled["holds"]
-        rep = certify_spectrum(fake, pencil)
+        rep = check_contract(fake, pencil)["variational"]
         assert not rep["holds"]
         assert rep["below_lower"] == (1 if skipped == 0 else 0) and rep["below_upper"] == 4
         assert rep["below_tie"] == 3 and rep["computed_below_tie"] == 2
@@ -658,7 +658,7 @@ class TestSpectrumCertificate:
         # shift, and the tie count at lambda_5 - delta_5 finds only lambda_1..lambda_4
         pencil = assemble_pencil(build_mesh(0.0, 1.0, 1023), 0.7, -30.0)
         res = solve_spectrum(pencil, 5)
-        rep = certify_spectrum(res, pencil)
+        rep = check_contract(res, pencil)["variational"]
         assert rep["below_upper"] == 6
         assert rep["below_tie"] == rep["computed_below_tie"] == 4
         assert rep["holds"]
@@ -673,7 +673,7 @@ class TestSpectrumCertificate:
     def test_counts_match_eigensolve(self, n, s, alpha, k):
         pencil = assemble_pencil(build_mesh(0.0, 1.0, n), s, alpha)
         res = solve_spectrum(pencil, k)
-        rep = certify_spectrum(res, pencil)
+        rep = check_contract(res, pencil)["variational"]
         assert rep["holds"]
         every = scipy.linalg.eigh(pencil.a_alpha, pencil.mass.data, eigvals_only=True)
         assert rep["below_upper"] == np.count_nonzero(every < rep["upper_shift"])
@@ -746,6 +746,28 @@ class TestSpectrumContract:
         contract = check_contract(solve_spectrum(base63, 3), base63)
         assert contract["holds"] is True
         assert all(value is True for value in _contract_flags(contract).values())
+
+    @pytest.mark.parametrize("alpha", [-3.0, 0.0])
+    def test_one_product_per_form(self, base63, alpha, monkeypatch):
+        # the contract multiplies the eigenvectors by A_alpha and by M once;
+        # V^T A V, V^T M V and the certificate's attained quotients share them
+        pencil = base63.with_alpha(alpha)
+        res = solve_spectrum(pencil, 4)
+        calls = {"a_alpha": 0, "mass": 0}
+        pencil_times, times = spectral._pencil_times, _toeplitz.times
+
+        def counted_pencil_times(p, z):
+            calls["a_alpha"] += 1
+            return pencil_times(p, z)
+
+        def counted_times(column, z):
+            calls["mass"] += column is pencil.mass.column
+            return times(column, z)
+
+        monkeypatch.setattr(spectral, "_pencil_times", counted_pencil_times)
+        monkeypatch.setattr(_toeplitz, "times", counted_times)
+        assert check_contract(res, pencil)["holds"]
+        assert calls == {"a_alpha": 1, "mass": 1}
 
     def test_lower_bound_is_the_concavity_bound(self, base63):
         # lambda_1 + gamma >= lambda_1^loc / 2 exactly; a gamma that leaves
