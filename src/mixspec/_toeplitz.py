@@ -4,9 +4,11 @@ A column zero past index 1 (``banded``) is a tridiagonal T: M's, A_loc's,
 and A_alpha's at alpha = 0 or n <= 2.  There products take the three-term
 stencil, and the two questions of the inertia certificate, ``definite``
 and ``count_below``, one Sturm pass, in O(n).  Any other T is multiplied
-by FFT and, for the two questions, built dense and factored by LAPACK
-(Cholesky and Bunch-Kaufman): backward stable, where Durbin's ``pivots``
-are no inertia count on indefinite matrices.
+by FFT, and for the two questions it is split by the reflection
+i -> n - 1 - i into two half-size blocks (``_half``), each built dense and
+factored by LAPACK (Cholesky and Bunch-Kaufman): backward stable, where
+Durbin's ``pivots`` are no inertia count on indefinite matrices, and a
+quarter of the flops and memory of factoring T itself.
 """
 
 from __future__ import annotations
@@ -157,38 +159,79 @@ def definite(column: np.ndarray) -> bool:
     A non-finite column never is, though potrf factors some without error.
     A banded column's Sturm pass (``_sturm``) must find no negative pivot
     and a positive last one: a zero pivot before the last makes the next
-    negative.  Otherwise one Cholesky attempt of a fresh dense T, factored
-    in place.
+    negative.  Otherwise T is definite exactly when both blocks of ``_half``
+    are: one Cholesky attempt (potrf) of the even block, factored in place,
+    then, only if it succeeds, one of the odd block.
     """
     if not np.isfinite(column).all():
         return False
     if banded(column):
         negative, last = _sturm(column)
         return negative == 0 and last > 0.0
-    try:
-        # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
-        scipy.linalg.cholesky(scipy.linalg.toeplitz(column).T, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return False
-    return True
+    potrf = scipy.linalg.lapack.dpotrf
+    # each block is built inside the call that factors it, so one is alive at a time
+    return all(potrf(_half(column, even).T, overwrite_a=True, clean=False)[1] == 0
+               for even in (True, False))
 
 
 def count_below(column: np.ndarray) -> int:
     """The number of negative eigenvalues of T (Sylvester inertia).
 
-    A banded column takes the Sturm pass.  Otherwise a fresh dense T is
-    factored in place by Bunch-Kaufman LDL^T (LAPACK dsytrf, blocked with
-    its queried workspace), and by Sylvester's law D has the inertia of T.
-    A 1x1 block counts when its pivot is negative.  A 2x2 block
-    [[a, b], [b, c]] is taken only when |a c| < alpha^2 b^2,
-    alpha = (1 + sqrt 17)/8, so its determinant is negative and it holds
-    exactly one negative eigenvalue.
+    A banded column takes the Sturm pass.  Otherwise the count is the sum of
+    the two blocks' counts of ``_half``, each by ``_negative_pivots``.
     """
     if banded(column):
         return _sturm(column)[0]
+    return sum(_negative_pivots(_half(column, even)) for even in (True, False))
+
+
+def _half(column: np.ndarray, even: bool) -> np.ndarray:
+    """The even or the odd block of T under the reflection, a fresh C-ordered array.
+
+    T is centrosymmetric, J T J = T with J the flip, so it is congruent to
+    one block on the vectors with u = J u and one on those with u = -J u
+    (Cantoni and Butler, Linear Algebra Appl. 13, 1976).  With m = n // 2,
+    T_m = toeplitz(column[:m]), H_m[i, j] = column[n - 1 - i - j] and
+    x_i = column[m - i], the congruence P = [[I, I], [J, -J]] (n = 2m) or
+    [[I, 0, I], [0, 1, 0], [J, 0, -J]] (n = 2m + 1) gives
+
+        P^T T P = 2 diag(E', O),   O = T_m - H_m,
+        E' = T_m + H_m (n = 2m),  E' = [[T_m + H_m, x], [x^T, column[0]/2]] (n = 2m + 1),
+
+    so by Sylvester's law the inertia of T is the sum of the blocks'.  The
+    even block is E' of size n - m and the odd one O of size m (empty at
+    n = 1).  Each entry of T_m +- H_m is one rounded sum, within eps of
+    its own size, which P maps back to a perturbation of T of 2-norm at most
+    2 eps ||T||_1; the halving is exact.  T_m and H_m are strided views of
+    the column, so the block is the only array of its size built.
+    """
+    n = column.size
+    m = n // 2
+    size = n - m if even else m
+    block = np.empty((size, size))
+    window = np.lib.stride_tricks.sliding_window_view
+    toeplitz = window(np.concatenate((column[m - 1:0:-1], column[:m])), m)[::-1]
+    hankel = window(column[n - 1:n - 2 * m:-1], m)
+    (np.add if even else np.subtract)(toeplitz, hankel, out=block[:m, :m])
+    if size > m:
+        block[m, :m] = block[:m, m] = column[m:0:-1]
+        block[m, m] = 0.5 * column[0]
+    return block
+
+
+def _negative_pivots(block: np.ndarray) -> int:
+    """The number of negative eigenvalues of a symmetric block, factored in place.
+
+    Bunch-Kaufman LDL^T (LAPACK dsytrf, blocked with its queried workspace);
+    by Sylvester's law D has the inertia of the block.  A 1x1 block of D
+    counts when its pivot is negative.  A 2x2 block [[a, b], [b, c]] is
+    taken only when |a c| < alpha^2 b^2, alpha = (1 + sqrt 17)/8, so its
+    determinant is negative and it holds exactly one negative eigenvalue.
+    """
     lapack = scipy.linalg.lapack
-    lwork = int(lapack.dsytrf_lwork(column.size)[0])
-    ldu, ipiv, _ = lapack.dsytrf(scipy.linalg.toeplitz(column).T, lwork=lwork, overwrite_a=True)
+    lwork = int(lapack.dsytrf_lwork(block.shape[0])[0])
+    # C-ordered and symmetric, so its transpose is the same matrix in Fortran order
+    ldu, ipiv, _ = lapack.dsytrf(block.T, lwork=lwork, overwrite_a=True)
     single = ipiv > 0   # rows of a 2x2 block carry the same negative ipiv
     return int(np.count_nonzero(np.diagonal(ldu)[single] < 0.0)
                + np.count_nonzero(~single) // 2)

@@ -60,8 +60,10 @@ the min-max characterization: the shifted column just below lambda_1 must
 be ``_toeplitz.definite``, and ``_toeplitz.count_below`` just above
 lambda_k must find exactly k, which proves it for every direction at once.
 These two kernels check the shift-invert route independently of its own
-factorization, and the matrices they factor are the only n x n arrays the
-checks build.  The sampled Rayleigh-quotient check
+factorization.  Off the banded case they split the shifted matrix by the
+reflection x -> a + b - x, with which the operator commutes, into two
+half-size blocks and factor those, one at a time, so the checks build no
+n x n array.  The sampled Rayleigh-quotient check
 ``verify_variational_characterization`` stays as the independent randomized
 route of the tests and the verify suite.
 
@@ -608,8 +610,9 @@ def _certificate(pencil: MixedPencil, lambdas: np.ndarray, attained: np.ndarray,
     kept in the report.  It passes only as a cluster straddling lambda_k:
     a third count, at lambda_k - delta_k, must then find no eigenvalue there
     beyond the computed ones, so every uncomputed eigenvalue below the upper
-    shift ties with lambda_k to within delta_k.  Each question builds at
-    most one n x n array, so one is alive at a time.
+    shift ties with lambda_k to within delta_k.  Each question builds the
+    two half-size blocks of ``_toeplitz``'s split, one at a time, and no
+    n x n array.
 
     The shift is delta = max(tol, margin), tol being ``check_contract``'s.
     The margin n eps max ||A_alpha - lambda M||_1 / lambda_min(M), over

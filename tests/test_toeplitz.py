@@ -124,6 +124,66 @@ class TestInertia:
         assert _toeplitz.count_below(column) == np.count_nonzero(every < 0.0)
         assert _toeplitz.definite(column) == bool(np.all(every > 0.0))
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=300), s=st.floats(min_value=0.05, max_value=0.95),
+           alpha=st.floats(min_value=-50.0, max_value=50.0), j=st.integers(0, 299),
+           where=st.sampled_from(["lower", "upper", "between", "at", "ulp_above", "ulp_below"]))
+    @example(n=1, s=0.5, alpha=-3.0, j=0, where="lower")
+    @example(n=1, s=0.5, alpha=-3.0, j=0, where="ulp_above")
+    @example(n=2, s=0.3, alpha=5.0, j=1, where="between")
+    @example(n=2, s=0.3, alpha=5.0, j=1, where="upper")
+    @example(n=3, s=0.7, alpha=-30.0, j=1, where="between")
+    @example(n=3, s=0.7, alpha=-30.0, j=2, where="upper")
+    @example(n=4, s=0.5, alpha=-3.0, j=2, where="between")
+    @example(n=300, s=0.9, alpha=-50.0, j=4, where="upper")
+    @example(n=299, s=0.2, alpha=8.0, j=0, where="lower")
+    def test_split_counts_match_eigvalsh(self, n, s, alpha, j, where):
+        """The reflection's two half-size blocks against the eigenvalues of the whole T.
+
+        T = A_alpha - sigma M, sigma at shifts of the certificate's kind
+        (lambda_1 and lambda_(j+1) moved out by n eps (||A_alpha||_1 +
+        |lambda| ||M||_1) / lambda_min(M)), between two eigenvalues, on one,
+        or 1 ulp off it.  An eigenvalue of T within n eps ||T||_1 of zero is
+        inside the rounding band, closed, so that a zero T (as at n = 1)
+        lies in it: a shift of n eps ||T||_1 / lambda_min(M) moves T's
+        eigenvalues by at least that much.  Where no eigenvalue of
+        ``eigvalsh`` lies in the band, the split's count equals the dense
+        one, and it is definite exactly when the count is 0; inside the band
+        both lie between the band's end counts.  n <= 2 is banded, so every
+        column is sent to the split through ``_dense``.
+        """
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, n), s, alpha)
+        mass = pencil.mass.column
+        eigenvalues = scipy.linalg.eigh(scipy.linalg.toeplitz(pencil.column),
+                                        scipy.linalg.toeplitz(mass), eigvals_only=True)
+        eps = np.finfo(float).eps
+        j %= n
+        lam = eigenvalues[j]
+        upper = eigenvalues[j + 1] if j + 1 < n else lam + abs(lam) + 1.0
+        mass_min = build_mesh(0.0, 1.0, n).h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
+
+        def margin(value):
+            return (n * eps * (_toeplitz.norm_1(pencil.column) + abs(value) * _toeplitz.norm_1(mass))
+                    / mass_min)
+
+        sigma = {"lower": eigenvalues[0] - margin(eigenvalues[0]), "upper": lam + margin(lam),
+                 "between": 0.5 * (lam + upper), "at": lam,
+                 "ulp_above": np.nextafter(lam, math.inf),
+                 "ulp_below": np.nextafter(lam, -math.inf)}[where]
+        column = mass * -sigma + pencil.column
+        every = np.linalg.eigvalsh(scipy.linalg.toeplitz(column))
+        band = n * eps * _toeplitz.norm_1(column)
+        low = int(np.count_nonzero(every < -band))
+        high = int(np.count_nonzero(every <= band))
+        count = _dense(_toeplitz.count_below, column)
+        definite = _dense(_toeplitz.definite, column)
+        if low == high:
+            assert count == low
+            assert definite == (low == 0)
+        else:
+            assert low <= count <= high
+            assert not definite or low == 0
+
 
 class TestNorm1:
     @settings(max_examples=60, deadline=None)
