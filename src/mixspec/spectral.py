@@ -615,13 +615,17 @@ def _certificate(pencil: MixedPencil, lambdas: np.ndarray, attained: np.ndarray,
     n x n array.
 
     The shift is delta = max(tol, margin), tol being ``check_contract``'s.
-    The margin n eps max ||A_alpha - lambda M||_1 / lambda_min(M), over
-    lambda in {lambda_1, lambda_k}, bounds the rounding of the
-    factorizations in eigenvalue units; the 1-norms are ``_toeplitz.norm_1``
-    of the shifted columns, and lambda_min(M) = h (2 + cos(n pi/(n+1)))/3 is
-    the closed-form smallest eigenvalue of the P1 mass matrix.  Each u_k
-    must also attain lambda_k: |``attained``_k - lambda_k| <= tol_k.
-    Nothing is drawn at random.
+    The margin n eps (||A_alpha||_1 + |lambda| ||M||_1) / lambda_min(M),
+    with the larger |lambda| of lambda_1 and lambda_k, bounds in eigenvalue
+    units the rounding of the factorizations, of the shifted column and of
+    the split's one rounded sum per block entry (``_toeplitz._half``).  By
+    the triangle inequality it is never below n eps ||A_alpha - lambda
+    M||_1 / lambda_min(M), and unlike that it cannot vanish when
+    A_alpha - lambda M cancels (at n = 1 it is rounding alone).  The
+    1-norms are ``_toeplitz.norm_1`` of the columns, and lambda_min(M) =
+    h (2 + cos(n pi/(n+1)))/3 is the closed-form smallest eigenvalue of the
+    P1 mass matrix.  Each u_k must also attain lambda_k:
+    |``attained``_k - lambda_k| <= tol_k.  Nothing is drawn at random.
     """
     n, k = pencil.n, lambdas.size
 
@@ -629,7 +633,8 @@ def _certificate(pencil: MixedPencil, lambdas: np.ndarray, attained: np.ndarray,
         return pencil.mass.column * -sigma + pencil.column
 
     mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
-    norm = max(_toeplitz.norm_1(shifted(lam)) for lam in (lambdas[0], lambdas[-1]))
+    largest = float(max(abs(lambdas[0]), abs(lambdas[-1])))
+    norm = _toeplitz.norm_1(pencil.column) + largest * _toeplitz.norm_1(pencil.mass.column)
     margin = float(n * np.finfo(float).eps * norm / mass_min)
     delta_1, delta_k = max(tol[0], margin), max(tol[-1], margin)
     lower, upper = float(lambdas[0] - delta_1), float(lambdas[-1] + delta_k)

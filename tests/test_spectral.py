@@ -682,6 +682,23 @@ class TestSpectrumCertificate:
         assert rep["below_tie"] == rep["computed_below_tie"] == 4
         assert rep["holds"]
 
+    @pytest.mark.parametrize("n, b, s, alpha, k", [
+        (1, 1e100, 0.5, 1e300, 1), (1, 1.0, 0.7, 5.0, 1), (1, 1.0, 0.7, -40.0, 1),
+        (2, 1.0, 0.3, -3.0, 2), (63, 1.0, 0.3, -3.0, 5), (511, 1e-10, 0.5, 1.0, 5)])
+    def test_margin_cannot_vanish(self, n, b, s, alpha, k):
+        # at n = 1 the shifted form A_alpha - lambda_1 M cancels to rounding or
+        # to 0, so a margin from its own 1-norm vanishes; the margin from the
+        # unshifted forms is positive and, by the triangle inequality, never
+        # below n eps ||A_alpha - lambda M||_1 / lambda_min(M)
+        pencil = assemble_pencil(build_mesh(0.0, b, n), s, alpha)
+        res = solve_spectrum(pencil, k)
+        rep = check_contract(res, pencil)["variational"]
+        assert rep["holds"] and rep["margin"] > 0.0
+        mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
+        for lam in (res.lambdas[0], res.lambdas[-1]):
+            shifted = _toeplitz.norm_1(pencil.mass.column * -lam + pencil.column)
+            assert rep["margin"] >= n * np.finfo(float).eps * shifted / mass_min
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.sampled_from([31, 63]),
