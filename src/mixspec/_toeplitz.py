@@ -202,8 +202,9 @@ def _half(column: np.ndarray, even: bool) -> np.ndarray:
     even block is E' of size n - m and the odd one O of size m (empty at
     n = 1).  Each entry of T_m +- H_m is one rounded sum, within eps of
     its own size, which P maps back to a perturbation of T of 2-norm at most
-    2 eps ||T||_1; the halving is exact.  T_m and H_m are strided views of
-    the column, so the block is the only array of its size built.
+    2 eps ||T||_1; halving a normal column[0] is exact.  T_m and H_m are
+    strided views of the column, so the block is the only array of its size
+    built.
     """
     n = column.size
     m = n // 2

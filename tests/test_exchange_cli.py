@@ -523,6 +523,30 @@ class TestNumericFlagFuzz:
             assert not all([report[key] for key in spectral.CONTRACT_FLAGS]
                            + [report["variational"]["holds"]])
 
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(spectral.SHIFT_INVERT_MIN_N, 600), k=st.integers(1, 5),
+           count=st.integers(1, 3),
+           s=st.one_of(st.sampled_from([5e-324, 1e-12, 1.0 - 1e-16, 1.0 - 1e-6]),
+                       st.floats(0.0, 1.0)),
+           ends=st.lists(st.one_of(st.sampled_from([1e300, -1e300, 1e-300, -1e-300, -3.0, 5.0,
+                                                    math.inf, math.nan]),
+                                   st.floats(-100.0, 100.0)), min_size=2, max_size=2))
+    @example(n=spectral.SHIFT_INVERT_MIN_N, k=3, count=3, s=0.5, ends=[-30.0, 10.0])
+    def test_sweep_shift_invert_sizes(self, tmp_path, capsys, n, k, count, s, ends):
+        # every coupling of the sweep takes the shift-invert route or its
+        # recorded fallback, and the threshold runs the split inertia tests;
+        # exit 1 without an error line is a failed check its report names
+        code = main(["sweep", "--n", str(n), "--k", str(k), "--s", repr(s), "--alpha-range",
+                     *(repr(end) for end in ends), str(count), "--out", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code in (0, 1, 2)
+        assert len(lines) <= 1 and all(line.startswith("error:") for line in lines)
+        assert bool(lines) == (code == 2) or code == 1
+        if code == 1 and not lines:
+            report = json.loads((tmp_path / "sweep_report.json").read_text())
+            assert not (report["threshold_holds"] and report["monotone_in_alpha"])
+
     @staticmethod
     def _at_most_64(token):
         """False only for a token that parses as an int above 64."""
