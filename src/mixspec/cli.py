@@ -328,7 +328,9 @@ def cmd_sweep(cfg) -> int:
         count = int(count)
         if count < 1:
             raise RequestError("alpha range needs a positive count")
-        alphas = np.linspace(lo, hi, count)
+        # an infinite end makes the grid NaN, which sweep_alpha refuses; no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            alphas = np.linspace(lo, hi, count)
     elif cfg["alpha"] is not None:
         alphas = np.array([cfg["alpha"]])
     else:

@@ -523,6 +523,7 @@ class TestNumericFlagFuzz:
             assert not all([report[key] for key in spectral.CONTRACT_FLAGS]
                            + [report["variational"]["holds"]])
 
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n=st.integers(spectral.SHIFT_INVERT_MIN_N, 600), k=st.integers(1, 5),
@@ -533,10 +534,14 @@ class TestNumericFlagFuzz:
                                                     math.inf, math.nan]),
                                    st.floats(-100.0, 100.0)), min_size=2, max_size=2))
     @example(n=spectral.SHIFT_INVERT_MIN_N, k=3, count=3, s=0.5, ends=[-30.0, 10.0])
+    @example(n=spectral.SHIFT_INVERT_MIN_N, k=1, count=3, s=0.5, ends=[math.inf, 5.0])
+    @example(n=spectral.SHIFT_INVERT_MIN_N, k=1, count=3, s=0.5, ends=[-1e300, 1e300])
     def test_sweep_shift_invert_sizes(self, tmp_path, capsys, n, k, count, s, ends):
         # every coupling of the sweep takes the shift-invert route or its
         # recorded fallback, and the threshold runs the split inertia tests;
-        # exit 1 without an error line is a failed check its report names
+        # exit 1 without an error line is a failed check its report names.
+        # A warning would print to stderr beside the error line, so it fails
+        # the test (the grid of an infinite end used to warn)
         code = main(["sweep", "--n", str(n), "--k", str(k), "--s", repr(s), "--alpha-range",
                      *(repr(end) for end in ends), str(count), "--out", str(tmp_path)])
         lines = capsys.readouterr().err.splitlines()
