@@ -160,7 +160,7 @@ class TestInertia:
         j %= n
         lam = eigenvalues[j]
         upper = eigenvalues[j + 1] if j + 1 < n else lam + abs(lam) + 1.0
-        mass_min = build_mesh(0.0, 1.0, n).h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
+        mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
 
         def margin(value):
             return (n * eps * (_toeplitz.norm_1(pencil.column) + abs(value) * _toeplitz.norm_1(mass))
