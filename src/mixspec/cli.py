@@ -328,9 +328,13 @@ def cmd_sweep(cfg) -> int:
         count = int(count)
         if count < 1:
             raise RequestError("alpha range needs a positive count")
-        # an infinite end makes the grid NaN, which sweep_alpha refuses; no warning
+        # a non-finite end, or finite ends whose width hi - lo overflows, makes
+        # the grid NaN or infinite; no warning is printed, and the error names
+        # the cause (sweep_alpha refuses a non-finite end itself)
         with np.errstate(over="ignore", invalid="ignore"):
             alphas = np.linspace(lo, hi, count)
+        if math.isfinite(lo) and math.isfinite(hi) and not np.isfinite(alphas).all():
+            raise RequestError(f"alpha range overflows: {hi:g} - ({lo:g}) is not finite")
     elif cfg["alpha"] is not None:
         alphas = np.array([cfg["alpha"]])
     else:

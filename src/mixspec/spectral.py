@@ -617,11 +617,14 @@ def _certificate(pencil: MixedPencil, lambdas: np.ndarray, attained: np.ndarray,
     The shift is delta = max(tol, margin), tol being ``check_contract``'s.
     The margin n eps (||A_alpha||_1 + |lambda| ||M||_1) / lambda_min(M),
     with the larger |lambda| of lambda_1 and lambda_k, bounds in eigenvalue
-    units the rounding of the factorizations, of the shifted column and of
-    the split's one rounded sum per block entry (``_toeplitz._half``).  By
-    the triangle inequality it is never below n eps ||A_alpha - lambda
-    M||_1 / lambda_min(M), and unlike that it cannot vanish when
-    A_alpha - lambda M cancels (at n = 1 it is rounding alone).  The
+    units the rounding of the shifted column and of its factorization: the
+    factor n eps is taken to cover the factorizations and the split's
+    2 eps ||T||_1 (one rounded sum per block entry, ``_toeplitz._half``)
+    together, T being the shifted matrix.  By the triangle inequality the
+    margin is never below n eps ||A_alpha - lambda M||_1 / lambda_min(M),
+    and unlike that it cannot vanish when A_alpha - lambda M cancels (at
+    n = 1 it is rounding alone); where nothing cancels the two are equal,
+    and it adds no room of its own for the split.  The
     1-norms are ``_toeplitz.norm_1`` of the columns, and lambda_min(M) =
     h (2 + cos(n pi/(n+1)))/3 is the closed-form smallest eigenvalue of the
     P1 mass matrix.  Each u_k must also attain lambda_k:

@@ -412,6 +412,19 @@ class TestCliSweep:
         assert main(["sweep", "--n", "15", "--s", "0.5", "--alpha-range",
                      "-1", "1", "0", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi, count, cause", [
+        ("-1e308", "1e308", "3", "alpha range overflows"),
+        ("-1e308", "1e308", "1", "alpha range overflows"),
+        ("inf", "5", "3", "alpha values must be finite")])
+    def test_non_finite_grid(self, tmp_path, capsys, lo, hi, count, cause):
+        # finite ends whose width overflows are named as such, not as a non-finite alpha
+        code = main(["sweep", "--n", "15", "--s", "0.5", "--alpha-range",
+                     lo, hi, count, "--out", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cause}")
+
     @pytest.mark.parametrize("source", ["1e30", str(MAX_SWEEP_COUNT + 1), "config"])
     def test_huge_count_refused_before_assembly(self, tmp_path, capsys, monkeypatch, source):
         assembled = []
@@ -438,14 +451,25 @@ class TestCliSweep:
             assert (plain / name).read_bytes() == (exponent / name).read_bytes()
 
 
+@pytest.mark.filterwarnings("error")
 class TestNumericFlagFuzz:
-    """Every numeric token reaches the number parser; the exit code contract holds."""
+    """Every numeric token reaches the number parser; the exit code contract holds.
+
+    Warnings are errors in every property here: pytest's warning capture
+    takes numpy's RuntimeWarning lines out of ``capsys``' stderr, so a
+    request that printed them before its one error line would pass unseen.
+    """
 
     NUMBER = st.lists(st.sampled_from(list("0123456789.-+e_") + ["E", "nan", "inf"]),
                       max_size=8).map("".join)
     # a count decides how many spectra the sweep solves, so it is drawn small
     COUNT = st.sampled_from(["1", "2", "3", "0", "-1", "2.5", "1e0", "-1e0", "nan", "-inf"])
     SEED = st.one_of(NUMBER, st.integers(min_value=-2**70, max_value=2**70).map(str))
+    # the extreme s and alpha draws of the shift-invert sizes
+    S = st.one_of(st.sampled_from([5e-324, 1e-12, 1.0 - 1e-16, 1.0 - 1e-6]), st.floats(0.0, 1.0))
+    ALPHA = st.one_of(st.sampled_from([1e300, -1e300, 1e-300, -1e-300, -3.0, 5.0,
+                                       math.inf, math.nan]),
+                      st.floats(-100.0, 100.0))
 
     @staticmethod
     def _run(argv, capsys):
@@ -500,57 +524,49 @@ class TestNumericFlagFuzz:
                           "--out", str(tmp_path)], capsys)
         assert code == self._seed_exit(seed)
 
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(n=st.integers(spectral.SHIFT_INVERT_MIN_N, 600), k=st.integers(1, 5),
-           s=st.one_of(st.sampled_from([5e-324, 1e-12, 1.0 - 1e-16, 1.0 - 1e-6]),
-                       st.floats(0.0, 1.0)),
-           alpha=st.one_of(st.sampled_from([1e300, -1e300, 1e-300, -1e-300, -3.0, 5.0,
-                                            math.inf, math.nan]),
-                           st.floats(-100.0, 100.0)))
-    def test_spectrum_shift_invert_sizes(self, tmp_path, capsys, n, k, s, alpha):
-        # at these n, k <= 5 takes the shift-invert route or its recorded
-        # fallback; exit 1 is a failed contract, whose report says which flag
-        # failed, or an eigensolve that failed with one error line
-        code = main(["spectrum", "--n", str(n), "--k", str(k), "--s", repr(s),
-                     f"--alpha={alpha!r}", "--out", str(tmp_path)])
+    @staticmethod
+    def _check_contract(code, capsys, report_path, holds):
+        """Exit 0, 1 or 2 with at most one ``error:`` line, the line present on 2.
+
+        Exit 1 is a failed check, whose report names it (``holds`` of the
+        report is false), or a failed eigensolve with one error line.
+        """
         lines = capsys.readouterr().err.splitlines()
         assert code in (0, 1, 2)
         assert len(lines) <= 1 and all(line.startswith("error:") for line in lines)
         assert bool(lines) == (code == 2) or code == 1
         if code == 1 and not lines:
-            report = json.loads((tmp_path / "spectrum_report.json").read_text())
-            assert not all([report[key] for key in spectral.CONTRACT_FLAGS]
-                           + [report["variational"]["holds"]])
+            report = json.loads(report_path.read_text())
+            assert not holds(report)
 
-    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(spectral.SHIFT_INVERT_MIN_N, 600), k=st.integers(1, 5), s=S,
+           alpha=ALPHA)
+    def test_spectrum_shift_invert_sizes(self, tmp_path, capsys, n, k, s, alpha):
+        # at these n, k <= 5 takes the shift-invert route or its recorded fallback
+        code = main(["spectrum", "--n", str(n), "--k", str(k), "--s", repr(s),
+                     f"--alpha={alpha!r}", "--out", str(tmp_path)])
+        self._check_contract(code, capsys, tmp_path / "spectrum_report.json",
+                             lambda report: all(report[key] for key in spectral.CONTRACT_FLAGS)
+                             and report["variational"]["holds"])
+
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n=st.integers(spectral.SHIFT_INVERT_MIN_N, 600), k=st.integers(1, 5),
-           count=st.integers(1, 3),
-           s=st.one_of(st.sampled_from([5e-324, 1e-12, 1.0 - 1e-16, 1.0 - 1e-6]),
-                       st.floats(0.0, 1.0)),
-           ends=st.lists(st.one_of(st.sampled_from([1e300, -1e300, 1e-300, -1e-300, -3.0, 5.0,
-                                                    math.inf, math.nan]),
-                                   st.floats(-100.0, 100.0)), min_size=2, max_size=2))
+           count=st.integers(1, 3), s=S, ends=st.lists(ALPHA, min_size=2, max_size=2))
     @example(n=spectral.SHIFT_INVERT_MIN_N, k=3, count=3, s=0.5, ends=[-30.0, 10.0])
     @example(n=spectral.SHIFT_INVERT_MIN_N, k=1, count=3, s=0.5, ends=[math.inf, 5.0])
     @example(n=spectral.SHIFT_INVERT_MIN_N, k=1, count=3, s=0.5, ends=[-1e300, 1e300])
+    @example(n=spectral.SHIFT_INVERT_MIN_N, k=1, count=3, s=0.5, ends=[-1e308, 1e308])
     def test_sweep_shift_invert_sizes(self, tmp_path, capsys, n, k, count, s, ends):
         # every coupling of the sweep takes the shift-invert route or its
-        # recorded fallback, and the threshold runs the split inertia tests;
-        # exit 1 without an error line is a failed check its report names.
-        # A warning would print to stderr beside the error line, so it fails
-        # the test (the grid of an infinite end used to warn)
+        # recorded fallback, and the threshold runs the split inertia tests
         code = main(["sweep", "--n", str(n), "--k", str(k), "--s", repr(s), "--alpha-range",
                      *(repr(end) for end in ends), str(count), "--out", str(tmp_path)])
-        lines = capsys.readouterr().err.splitlines()
-        assert code in (0, 1, 2)
-        assert len(lines) <= 1 and all(line.startswith("error:") for line in lines)
-        assert bool(lines) == (code == 2) or code == 1
-        if code == 1 and not lines:
-            report = json.loads((tmp_path / "sweep_report.json").read_text())
-            assert not (report["threshold_holds"] and report["monotone_in_alpha"])
+        self._check_contract(code, capsys, tmp_path / "sweep_report.json",
+                             lambda report: report["threshold_holds"]
+                             and report["monotone_in_alpha"])
 
     @staticmethod
     def _at_most_64(token):

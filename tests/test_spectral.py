@@ -739,10 +739,13 @@ class TestTridiagonalCertificate:
     @pytest.mark.parametrize("n, alpha", [(1, -7.0), (2, 3.0), (2, -40.0), (63, 0.0), (2047, 0.0)])
     def test_contract_without_dense_factorization(self, n, alpha, monkeypatch):
         # alpha = 0, or n <= 2 at any alpha: every shifted column is zero past
-        # index 1, and the certificate counts on its two entries
+        # index 1, and the certificate counts on its two entries.  The dense
+        # route builds its blocks in _half and factors them by LAPACK
         pencil = assemble_pencil(build_mesh(0.0, 1.0, n), 0.4, alpha)
         result = solve_spectrum(pencil, min(n, 5))
-        monkeypatch.setattr(scipy.linalg, "toeplitz", _forbidden)
+        monkeypatch.setattr(_toeplitz, "_half", _forbidden)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", _forbidden)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", _forbidden)
         assert check_contract(result, pencil)["holds"]
 
 
