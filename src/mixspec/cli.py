@@ -6,8 +6,12 @@ Exit codes: 0 success, 1 verification/runtime failure, 2 parameter error,
 the seed; nothing carries timestamps.
 
 Configuration precedence: command-line flags override keys from the
-``--config`` file (flat ``key = value`` lines, keys named like the long
-flags), which override built-in defaults.
+``--config`` file, which override built-in defaults.  The file holds flat
+``key = value`` lines (``#`` starts a comment).  A key is any long option of
+any subcommand except ``--config`` and ``--matrix``, with ``-`` or ``_``
+between words, and its value is read as the flag would read it: the numbers
+of ``domain`` and ``alpha-range`` are space-separated, and ``vectors`` takes
+1/true/yes or 0/false/no in any case.
 """
 
 from __future__ import annotations
@@ -36,26 +40,6 @@ EXIT_USAGE = 64
 # larger count is refused before any array of that length is allocated
 MAX_SWEEP_COUNT = 10_000
 
-_DEFAULTS = {
-    "domain": (0.0, 1.0),
-    "n": 31,
-    "s": "0.5",
-    "k": 5,
-    "p": "2",
-    "seed": 0,
-    "out": ".",
-    "format": "csv",
-    "couple": "l2-h1",
-    "x": None,
-    "alpha": None,
-    "alpha_range": None,
-    "f": None,
-    "suites": None,
-    "matrix": None,
-    "vectors": False,
-}
-
-
 # every negative token float() accepts: exponents, underscores, inf, nan
 _DIGITS = r"\d(?:_?\d)*"
 _NEGATIVE_NUMBER = re.compile(
@@ -82,6 +66,44 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# Every option once, grouped by the subcommands that take it, in --help
+# order: its default and its argparse keywords.  A config file may set any
+# option of any subcommand but those in _FLAG_ONLY; its value goes through
+# the flag's own type (str if none), token by token when the flag has nargs.
+_OPTIONS = {
+    ("assemble", "spectrum", "sweep", "kfunc", "verify"): {
+        "domain": ((0.0, 1.0), dict(nargs=2, type=float, metavar=("A", "B"))),
+        "n": (31, dict(type=int, help="interior mesh nodes")),
+        "s": ("0.5", dict(help="fractional order(s) in (0,1)")),
+        "alpha": (None, dict(type=float, help="coupling of the nonlocal part")),
+        "alpha_range": (None, dict(nargs=3, type=float, metavar=("LO", "HI", "COUNT"))),
+        "k": (5, dict(type=int, help="number of eigenpairs")),
+        "p": ("2", dict(help="interpolation exponent(s), e.g. 1,2,inf")),
+        "seed": (0, dict(type=int)),
+        "out": (".", dict(help="output directory")),
+        "format": ("csv", dict(choices=["csv", "json"])),
+        "config": (None, dict(help="flat key = value config file")),
+    },
+    ("spectrum",): {
+        "vectors": (False, dict(action="store_true", help="also write one eigenvector file per k")),
+    },
+    ("kfunc",): {
+        "couple": ("l2-h1", dict(help="'l2-h1' (built from mesh flags) or a couple file path")),
+        "f": (None, dict(help="vector file for the element")),
+        "x": (None, dict(help="extra x sample points, comma separated")),
+    },
+    ("verify",): {
+        "suites": (None, dict(help="comma list of suite names")),
+        "matrix": (None, dict(action="append",
+                              help="matrix file to check structurally (repeatable)")),
+    },
+}
+_SPECS = {key: spec for options in _OPTIONS.values() for key, spec in options.items()}
+# a config file names no further config file, and its one line per key
+# cannot repeat --matrix
+_FLAG_ONLY = ("config", "matrix")
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The command-line parser, built on the first call and shared after it.
@@ -89,48 +111,17 @@ def _build_parser() -> _Parser:
     argparse keeps no state between parses: each one fills a fresh
     namespace, and a usage error leaves by SystemExit.  Building the parser
     takes about 2.5 ms, a tenth of a small spectrum request; the first
-    ``main`` call pays it, not the import.
+    ``main`` call pays it, not the import.  Every default is None here, so
+    that ``_resolve`` can tell a flag given from one left out.
     """
     parser = _Parser(prog="mixspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p):
-        p.add_argument("--domain", nargs=2, type=float, metavar=("A", "B"), default=None)
-        p.add_argument("--n", type=int, default=None, help="interior mesh nodes")
-        p.add_argument("--s", type=str, default=None, help="fractional order(s) in (0,1)")
-        p.add_argument("--alpha", type=float, default=None, help="coupling of the nonlocal part")
-        p.add_argument("--alpha-range", nargs=3, type=float, default=None,
-                       metavar=("LO", "HI", "COUNT"))
-        p.add_argument("--k", type=int, default=None, help="number of eigenpairs")
-        p.add_argument("--p", type=str, default=None, help="interpolation exponent(s), e.g. 1,2,inf")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--config", type=str, default=None, help="flat key = value config file")
-
-    p_assemble = sub.add_parser("assemble", help="write mass/local/fractional matrices")
-    add_shared(p_assemble)
-
-    p_spectrum = sub.add_parser("spectrum", help="solve the pencil and verify the contracts")
-    add_shared(p_spectrum)
-    p_spectrum.add_argument("--vectors", action="store_true", default=None,
-                            help="also write one eigenvector file per k")
-
-    p_sweep = sub.add_parser("sweep", help="spectra over an alpha grid plus threshold certificate")
-    add_shared(p_sweep)
-
-    p_kfunc = sub.add_parser("kfunc", help="K-functional curve and interpolation norms")
-    add_shared(p_kfunc)
-    p_kfunc.add_argument("--couple", type=str, default=None,
-                         help="'l2-h1' (built from mesh flags) or a couple file path")
-    p_kfunc.add_argument("--f", type=str, default=None, help="vector file for the element")
-    p_kfunc.add_argument("--x", type=str, default=None, help="extra x sample points, comma separated")
-
-    p_verify = sub.add_parser("verify", help="run the invariant suites")
-    add_shared(p_verify)
-    p_verify.add_argument("--suites", type=str, default=None, help="comma list of suite names")
-    p_verify.add_argument("--matrix", action="append", default=None,
-                          help="matrix file to check structurally (repeatable)")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        for commands, options in _OPTIONS.items():
+            if name in commands:
+                for key, (_, kwargs) in options.items():
+                    p.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
     return parser
 
 
@@ -157,49 +148,42 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-_CONFIG_PARSERS = {
-    "domain": lambda v: tuple(float(t) for t in v.split()),
-    "n": int,
-    "s": str,
-    "alpha": float,
-    "alpha_range": lambda v: tuple(float(t) for t in v.split()),
-    "k": int,
-    "p": str,
-    "seed": int,
-    "out": str,
-    "format": str,
-    "couple": str,
-    "f": str,
-    "x": str,
-    "suites": str,
-    "vectors": lambda v: {"1": True, "true": True, "yes": True,
-                          "0": False, "false": False, "no": False}[v.lower()],
-}
+def _config_value(key: str, raw: str):
+    kwargs = _SPECS[key][1]
+    if kwargs.get("action") == "store_true":
+        return {"1": True, "true": True, "yes": True,
+                "0": False, "false": False, "no": False}[raw.lower()]
+    convert = kwargs.get("type", str)
+    if "nargs" in kwargs:
+        return tuple(convert(token) for token in raw.split())
+    return convert(raw)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (default, _) in _SPECS.items()}
     if args.config:
-        file_cfg = _read_config(args.config)
-        for key, raw in file_cfg.items():
-            if key not in _CONFIG_PARSERS:
+        for key, raw in _read_config(args.config).items():
+            if key not in cfg or key in _FLAG_ONLY:
                 raise ParameterError(f"unknown config key {key!r}")
             try:
-                cfg[key] = _CONFIG_PARSERS[key](raw)
+                cfg[key] = _config_value(key, raw)
             except (KeyError, ValueError) as exc:
                 raise ParameterError(f"bad config value for {key!r}: {raw!r}") from exc
-    for key in _DEFAULTS:
+    for key in cfg:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             cfg[key] = tuple(flag_val) if isinstance(flag_val, list) else flag_val
     cfg["command"] = args.command
-    for key, count in (("domain", 2), ("alpha_range", 3)):
-        if cfg[key] is not None and len(cfg[key]) != count:
+    for key, (_, kwargs) in _SPECS.items():
+        count = kwargs.get("nargs")
+        if count is not None and cfg[key] is not None and len(cfg[key]) != count:
             raise ParameterError(f"{key} takes {count} numbers, got {cfg[key]}")
     if cfg["domain"][0] >= cfg["domain"][1]:
         raise ParameterError(f"domain must satisfy a < b, got {cfg['domain']}")
-    if cfg["format"] not in ("csv", "json"):
-        raise ParameterError(f"format must be csv or json, got {cfg['format']!r}")
+    for key, (_, kwargs) in _SPECS.items():
+        if "choices" in kwargs and cfg[key] not in kwargs["choices"]:
+            raise ParameterError(
+                f"{key} must be {' or '.join(kwargs['choices'])}, got {cfg[key]!r}")
     if cfg["seed"] < 0:
         raise ParameterError(f"seed must be a nonnegative integer, got {cfg['seed']}")
     return cfg
@@ -233,6 +217,10 @@ def _single_s(cfg) -> float:
     return s
 
 
+def _mesh(cfg) -> fem.Mesh1D:
+    return fem.build_mesh(*cfg["domain"], cfg["n"])
+
+
 def _outdir(cfg) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -256,8 +244,8 @@ def _write_table(path_base: Path, fmt_kind: str, header: list[str], rows: list[l
 # ----------------------------------------------------------------------------
 
 def cmd_assemble(cfg) -> int:
-    a, b = cfg["domain"]
-    mesh = fem.build_mesh(a, b, cfg["n"])
+    """write mass/local/fractional matrices"""
+    mesh = _mesh(cfg)
     s = _single_s(cfg)
     out = _outdir(cfg)
     written = []
@@ -275,11 +263,12 @@ def cmd_assemble(cfg) -> int:
 
 
 def cmd_spectrum(cfg) -> int:
+    """solve the pencil and verify the contracts"""
     if cfg["alpha"] is None:
         raise ParameterError("spectrum requires --alpha")
-    a, b = cfg["domain"]
-    mesh = fem.build_mesh(a, b, cfg["n"])
-    pencil = spectral.assemble_pencil(mesh, _single_s(cfg), cfg["alpha"])
+    mesh = _mesh(cfg)
+    s = _single_s(cfg)
+    pencil = spectral.assemble_pencil(mesh, s, cfg["alpha"])
     result = spectral.solve_spectrum(pencil, cfg["k"])
     out = _outdir(cfg)
 
@@ -297,7 +286,7 @@ def cmd_spectrum(cfg) -> int:
     contract = spectral.check_contract(result, pencil)
     report = {
         "op": "spectrum",
-        "inputs": {"domain": [a, b], "n": mesh.n, "s": _single_s(cfg),
+        "inputs": {"domain": list(cfg["domain"]), "n": mesh.n, "s": s,
                    "alpha": cfg["alpha"], "k": cfg["k"], "seed": cfg["seed"]},
         "gamma": result.gamma,
         "lambda_1": float(result.lambdas[0]),
@@ -316,8 +305,8 @@ def cmd_spectrum(cfg) -> int:
 
 
 def cmd_sweep(cfg) -> int:
-    a, b = cfg["domain"]
-    mesh = fem.build_mesh(a, b, cfg["n"])
+    """spectra over an alpha grid plus threshold certificate"""
+    mesh = _mesh(cfg)
     s = _single_s(cfg)
     if cfg["alpha_range"] is not None:
         lo, hi, count = cfg["alpha_range"]
@@ -360,7 +349,7 @@ def cmd_sweep(cfg) -> int:
     monotone = spectral.monotone_in_alpha(table)
     report = {
         "op": "sweep",
-        "inputs": {"domain": [a, b], "n": mesh.n, "s": s, "k": cfg["k"],
+        "inputs": {"domain": list(cfg["domain"]), "n": mesh.n, "s": s, "k": cfg["k"],
                    "alphas": table.alphas},
         "minus_inv_c": threshold["minus_inv_c"],
         "threshold_holds": threshold["holds"],
@@ -375,8 +364,7 @@ def cmd_sweep(cfg) -> int:
 def _kfunc_couple(cfg):
     source = cfg["couple"]
     if source == "l2-h1":
-        a, b = cfg["domain"]
-        mesh = fem.build_mesh(a, b, cfg["n"])
+        mesh = _mesh(cfg)
         mass = fem.assemble_mass(mesh).data
         g_y = mass + fem.assemble_local_stiffness(mesh).data
         return interpolation.couple_from_grams(mass, g_y), f"l2-h1(n={mesh.n})"
@@ -385,6 +373,7 @@ def _kfunc_couple(cfg):
 
 
 def cmd_kfunc(cfg) -> int:
+    """K-functional curve and interpolation norms"""
     couple, label = _kfunc_couple(cfg)
     rng = np.random.default_rng(cfg["seed"])
     if cfg["f"] is not None:
@@ -423,7 +412,7 @@ def cmd_kfunc(cfg) -> int:
         for p in _parse_float_list(cfg["p"], "--p"):
             entry = {
                 "s": s,
-                "p": "inf" if p == math.inf else p,
+                "p": interpolation.p_label(p),
                 "norm_K": interpolation.interpolation_norm(couple, f, s, p, "K"),
                 "norm_K2": interpolation.interpolation_norm(couple, f, s, p, "K2"),
             }
@@ -452,6 +441,7 @@ def cmd_kfunc(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
+    """run the invariant suites"""
     names = None
     if cfg["suites"]:
         names = [t.strip() for t in str(cfg["suites"]).split(",") if t.strip()]

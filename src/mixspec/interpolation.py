@@ -66,6 +66,7 @@ __all__ = [
     "spectral_s_norm",
     "operator_norm",
     "interpolation_gram",
+    "p_label",
     "check_operator_interpolation",
     "check_interpolation_inequality",
     "check_inclusion_monotonicity",
@@ -431,11 +432,21 @@ def symmetry_check(couple: HilbertCouple, f, x) -> Report:
 # Interpolation norms
 # ----------------------------------------------------------------------------
 
-def _validate_sp(s: float, p: float):
+def _validate_sp(s: float, p: float = 2.0):
     if not (0.0 < s < 1.0):
         raise ParameterError(f"s must lie in (0, 1), got {s}")
     if not (p >= 1.0):
         raise ParameterError(f"p must lie in [1, inf], got {p}")
+
+
+def _kappa(s: float) -> float:
+    """pi/(2 sin pi s): the squared (s, 2) norm of K2 over sum mu^s c^2."""
+    return math.pi / (2.0 * math.sin(math.pi * s))
+
+
+def p_label(p: float) -> float | str:
+    """p as the reports write it: JSON has no number for p = inf."""
+    return "inf" if p == math.inf else p
 
 
 def _frontier_norms(mu, coords, s: float, p: float, variant: str) -> np.ndarray:
@@ -535,10 +546,9 @@ def spectral_s_norm(couple: HilbertCouple, f, s: float) -> float:
     Per mode, int_0^inf x^(1-2s) mu/(1+x^2 mu) dx = mu^s pi/(2 sin pi s),
     so this equals the K2-variant (s, 2) norm exactly.
     """
-    if not (0.0 < s < 1.0):
-        raise ParameterError(f"s must lie in (0, 1), got {s}")
+    _validate_sp(s)
     c2 = couple.coords(f) ** 2
-    return math.sqrt(math.pi / (2.0 * math.sin(math.pi * s)) * float(np.sum(couple.mu**s * c2)))
+    return math.sqrt(_kappa(s) * float(np.sum(couple.mu**s * c2)))
 
 
 # ----------------------------------------------------------------------------
@@ -557,12 +567,8 @@ def operator_norm(t_mat, domain_gram, codomain_gram) -> float:
         raise DimensionError("Gram shapes do not match the operator")
     quad = t_mat.T @ codomain_gram @ t_mat
     quad = 0.5 * (quad + quad.T)
-    top = scipy.linalg.eigh(quad, domain_gram, subset_by_index=[cols - 1, cols - 1])[0]
-    if not top.size:
-        # the subset driver returns nothing when its bisection cannot split a
-        # multiple top eigenvalue (T = 2.5 I on one couple); the full solve can
-        top = scipy.linalg.eigh(quad, domain_gram, eigvals_only=True)[-1:]
-    return math.sqrt(max(float(top[0]), 0.0))
+    top = scipy.linalg.eigh(quad, domain_gram, eigvals_only=True)[-1]
+    return math.sqrt(max(float(top), 0.0))
 
 
 def interpolation_gram(couple: HilbertCouple, s: float) -> np.ndarray:
@@ -571,11 +577,9 @@ def interpolation_gram(couple: HilbertCouple, s: float) -> np.ndarray:
     In original coordinates the squared norm is
     pi/(2 sin pi s) * f^T G_X V diag(mu^s) V^T G_X f.
     """
-    if not (0.0 < s < 1.0):
-        raise ParameterError(f"s must lie in (0, 1), got {s}")
+    _validate_sp(s)
     w = couple.g_x @ couple.basis
-    kappa = math.pi / (2.0 * math.sin(math.pi * s))
-    gram = kappa * (w * couple.mu**s) @ w.T
+    gram = _kappa(s) * (w * couple.mu**s) @ w.T
     return 0.5 * (gram + gram.T)
 
 
@@ -621,7 +625,7 @@ def check_operator_interpolation(
     ratio = lhs / rhs if rhs > 0.0 else math.inf
     return Report(
         op="operator_interpolation",
-        inputs={"s": s, "p": "inf" if p == math.inf else p, "variant": variant},
+        inputs={"s": s, "p": p_label(p), "variant": variant},
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,
@@ -680,14 +684,14 @@ def check_interpolation_inequality(
     base = couple.norm_x(f) ** (1.0 - s) * couple.norm_y(f) ** s
     ratio = value / base
     if variant == "K2" and p == 2:
-        constant = math.sqrt(math.pi / (2.0 * math.sin(math.pi * s)))
+        constant = math.sqrt(_kappa(s))
     elif p == math.inf:
         constant = 1.0
     else:
         constant = (1.0 / (p * s * (1.0 - s))) ** (1.0 / p)
     return Report(
         op="interpolation_inequality",
-        inputs={"s": s, "p": "inf" if p == math.inf else p, "variant": variant},
+        inputs={"s": s, "p": p_label(p), "variant": variant},
         lhs=value,
         rhs=constant * base,
         ratio=ratio,
@@ -724,12 +728,12 @@ def check_inclusion_monotonicity(
     lhs2 = math.sqrt(float(np.sum(couple.mu**s1 * c2)))
     rhs2 = math.sqrt(float(np.sum(couple.mu**s2 * c2)))
     constant = math.sqrt(math.sin(math.pi * s2) / math.sin(math.pi * s1))
-    q1 = math.sqrt(math.pi / (2.0 * math.sin(math.pi * s1))) * lhs2
-    q2 = math.sqrt(math.pi / (2.0 * math.sin(math.pi * s2))) * rhs2
+    q1 = math.sqrt(_kappa(s1)) * lhs2
+    q2 = math.sqrt(_kappa(s2)) * rhs2
     holds = (lhs2 <= rhs2 * (1.0 + 1e-12)) and (q1 <= constant * q2 * (1.0 + 1e-9))
     return Report(
         op="inclusion_monotonicity",
-        inputs={"s1": s1, "s2": s2, "p": "inf" if p == math.inf else p,
+        inputs={"s1": s1, "s2": s2, "p": p_label(p),
                 "norm_s1": norm_s1, "norm_s2": norm_s2},
         lhs=q1,
         rhs=constant * q2,

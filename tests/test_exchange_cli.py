@@ -22,6 +22,7 @@ from mixspec import (
 )
 from mixspec import cli, spectral
 from mixspec.cli import MAX_SWEEP_COUNT, main
+from mixspec.errors import ParameterError
 from mixspec.exchange import (
     FormatError,
     read_couple,
@@ -821,6 +822,79 @@ class TestConfigFile:
         config = tmp_path / "run.cfg"
         config.write_text("bogus = 1\n")
         assert main(["assemble", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("command", ["assemble", "spectrum", "sweep", "kfunc", "verify"])
+    @pytest.mark.parametrize("line", ["matrix = m.txt", "config = other.cfg"])
+    def test_flag_only_keys(self, tmp_path, capsys, command, line):
+        # --config names no further file, and one line per key cannot repeat --matrix
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown config key {line.split()[0]!r}\n"
+
+    FLOAT = st.one_of(st.floats(allow_nan=False).map(repr), st.integers(-10**6, 10**6).map(str))
+    INT = st.integers(-10**6, 10**6).map(str)
+    # config text holds no comment, and its value is stripped
+    TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#"),
+                   max_size=12).map(str.strip)
+    SWITCH = st.tuples(st.sampled_from(["1", "true", "yes", "0", "false", "no"]),
+                       st.integers(0, 63)).map(
+        lambda t: "".join(c.upper() if t[1] >> i & 1 else c for i, c in enumerate(t[0])))
+    # every option a config file may set: a subcommand whose flag it is, and its value as text
+    SETTABLE = {
+        "domain": ("assemble", st.lists(FLOAT, min_size=2, max_size=2).map(" ".join)),
+        "n": ("assemble", INT),
+        "s": ("assemble", TEXT),
+        "alpha": ("spectrum", FLOAT),
+        "alpha_range": ("sweep", st.lists(FLOAT, min_size=3, max_size=3).map(" ".join)),
+        "k": ("spectrum", INT),
+        "p": ("kfunc", TEXT),
+        "seed": ("verify", INT),
+        "out": ("assemble", TEXT),
+        "format": ("sweep", st.sampled_from(["csv", "json"])),
+        "vectors": ("spectrum", SWITCH),
+        "couple": ("kfunc", TEXT),
+        "f": ("kfunc", TEXT),
+        "x": ("kfunc", TEXT),
+        "suites": ("verify", TEXT),
+    }
+
+    def test_settable_keys_are_the_long_options(self):
+        # every long option of every subcommand but --config and --matrix
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        flags = {option[2:].replace("-", "_") for sub in commands.values()
+                 for option in sub._option_string_actions if option.startswith("--")}
+        assert flags - {"help", "config", "matrix"} == set(self.SETTABLE)
+
+    @staticmethod
+    def _resolved(argv):
+        try:
+            cfg = cli._resolve(cli._build_parser().parse_args(argv))
+        except ParameterError as exc:
+            return str(exc)
+        return {key: value for key, value in cfg.items() if key not in ("command", "config")}
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), key=st.sampled_from(sorted(SETTABLE)),
+           command=st.sampled_from(["assemble", "spectrum", "sweep", "kfunc", "verify"]))
+    def test_config_line_means_its_flag(self, tmp_path, data, key, command):
+        """A config line resolves as its flag does, read by any subcommand."""
+        flag_command, values = self.SETTABLE[key]
+        text = data.draw(values)
+        flag = "--" + key.replace("_", "-")
+        if key == "vectors":
+            flag_args = [flag] if text.lower() in ("1", "true", "yes") else []
+        elif key in ("domain", "alpha_range"):
+            flag_args = [flag, *text.split()]
+        else:
+            flag_args = [f"{flag}={text}"]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key.replace('_', data.draw(st.sampled_from('_-')))} = {text}\n")
+        assert (self._resolved([command, "--config", str(config)])
+                == self._resolved([flag_command, *flag_args]))
 
     def test_comments_and_blanks(self, tmp_path):
         config = tmp_path / "run.cfg"
