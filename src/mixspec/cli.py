@@ -134,6 +134,8 @@ def _read_config(path: str) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise ParameterError(f"{path}: {exc.strerror}") from exc
     if "\0" in text:  # no value may hold one, and a path holding one is refused by the OS
         raise ParameterError(f"{path}: config file holds a NUL byte")
     out: dict[str, str] = {}
@@ -477,8 +479,8 @@ def main(argv=None) -> int:
     except MixSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE if isinstance(exc, AccuracyError) else EXIT_PARAMETER
-    except OSError as exc:
-        print(f"error: {exc.filename or ''}: {exc}", file=sys.stderr)
+    except OSError as exc:  # an output that cannot be written; inputs are parameters
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MixSpecError
+from .errors import MixSpecError, ParameterError
 from .fem import DiscreteFunction, OperatorMatrix, build_mesh
 
 __all__ = [
@@ -98,11 +98,13 @@ def _parse_matrix_block(lines: list[str], start: int, path) -> tuple[MatrixFile,
 
 
 def _read_lines(path) -> list[str]:
-    """The non-blank lines of a UTF-8 text file; other bytes are a FormatError."""
+    """Non-blank lines of a UTF-8 text file; other bytes are a FormatError, no file a ParameterError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise ParameterError(f"{path}: {exc.strerror}") from exc
     return [ln for ln in text.splitlines() if ln.strip()]
 
 

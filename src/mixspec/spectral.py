@@ -63,9 +63,10 @@ These two kernels check the shift-invert route independently of its own
 factorization.  Off the banded case they split the shifted matrix by the
 reflection x -> a + b - x, with which the operator commutes, into two
 half-size blocks and factor those, one at a time, so the checks build no
-n x n array.  The sampled Rayleigh-quotient check
-``verify_variational_characterization`` stays as the independent randomized
-route of the tests and the verify suite.
+n x n array.  The tests and the verify suite cross-check it at desk scale
+with ``verify_variational_characterization``: one dense LAPACK eigensolve of
+(A_alpha, M) in the original basis, independent of every route above, whose
+values must match within the certificate's own shift.
 
 The coupling threshold where lambda_1 changes sign is exactly
 alpha* = -1/C_h, with C_h the largest eigenvalue of (A_frac, A_loc): the
@@ -138,7 +139,6 @@ PIVOT_RTOL = 1e-4
 SHIFT_INVERT_MIN_N = 416
 SHIFT_INVERT_K_RATIO = 32
 _NOT_FINITE = "eigenvalues leave the floating-point range: the matrix is not finite"
-VARIATIONAL_SAMPLES = 1000  # random directions per k of verify_variational_characterization
 
 
 class SineBasis:
@@ -385,9 +385,10 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
     result is a function of the inputs; it is a ramp, not the constant
     vector: the pencil commutes with the flip of the mesh, and a flip-even
     start would reach the flip-odd eigenvectors through rounding only.
-    Lanczos can still miss one copy of a near-multiple eigenvalue; the
-    certificate's inertia count then fails, so the miss never passes
-    silently.
+    Lanczos can still miss one copy of a near-multiple eigenvalue.  In a
+    ``spectrum`` request the certificate's inertia count then fails, so the
+    miss cannot pass silently; ``sweep`` rows and ``gamma`` take this route
+    uncertified.
     """
     # imported where it solves, so that importing mixspec.cli loads no scipy.sparse
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -614,31 +615,16 @@ def _certificate(pencil: MixedPencil, lambdas: np.ndarray, attained: np.ndarray,
     two half-size blocks of ``_toeplitz``'s split, one at a time, and no
     n x n array.
 
-    The shift is delta = max(tol, margin), tol being ``check_contract``'s.
-    The margin n eps (||A_alpha||_1 + |lambda| ||M||_1) / lambda_min(M),
-    with the larger |lambda| of lambda_1 and lambda_k, bounds in eigenvalue
-    units the rounding of the shifted column and of its factorization: the
-    factor n eps is taken to cover the factorizations and the split's
-    2 eps ||T||_1 (one rounded sum per block entry, ``_toeplitz._half``)
-    together, T being the shifted matrix.  By the triangle inequality the
-    margin is never below n eps ||A_alpha - lambda M||_1 / lambda_min(M),
-    and unlike that it cannot vanish when A_alpha - lambda M cancels (at
-    n = 1 it is rounding alone); where nothing cancels the two are equal,
-    and it adds no room of its own for the split.  The
-    1-norms are ``_toeplitz.norm_1`` of the columns, and lambda_min(M) =
-    h (2 + cos(n pi/(n+1)))/3 is the closed-form smallest eigenvalue of the
-    P1 mass matrix.  Each u_k must also attain lambda_k:
-    |``attained``_k - lambda_k| <= tol_k.  Nothing is drawn at random.
+    The shift is delta = max(tol, ``_margin``), tol being ``check_contract``'s.
+    Each u_k must also attain lambda_k: |``attained``_k - lambda_k| <= tol_k.
+    Nothing is drawn at random.
     """
-    n, k = pencil.n, lambdas.size
+    k = lambdas.size
 
     def shifted(sigma):
         return pencil.mass.column * -sigma + pencil.column
 
-    mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
-    largest = float(max(abs(lambdas[0]), abs(lambdas[-1])))
-    norm = _toeplitz.norm_1(pencil.column) + largest * _toeplitz.norm_1(pencil.mass.column)
-    margin = float(n * np.finfo(float).eps * norm / mass_min)
+    margin = _margin(pencil, lambdas)
     delta_1, delta_k = max(tol[0], margin), max(tol[-1], margin)
     lower, upper = float(lambdas[0] - delta_1), float(lambdas[-1] + delta_k)
     below_lower = (0 if _toeplitz.definite(shifted(lower))
@@ -670,52 +656,48 @@ def _certificate(pencil: MixedPencil, lambdas: np.ndarray, attained: np.ndarray,
     return report
 
 
-def verify_variational_characterization(result: SpectrumResult, pencil: MixedPencil,
-                                        *, rng=None) -> dict:
-    """Sample the min-max characterization of every computed eigenvalue.
+def _margin(pencil: MixedPencil, lambdas: np.ndarray) -> float:
+    """The rounding room, in eigenvalue units, of a test at the computed lambdas.
 
-    For each k, VARIATIONAL_SAMPLES random vectors are projected onto the
-    complement (with respect to the bilinear form, realized through the M
-    inner product against the eigenvectors with nonzero eigenvalue) of the
-    first k-1 eigenvectors; every Rayleigh quotient must stay above
-    lambda_k - 1e-8 (1 + |lambda_k|), and u_k itself must attain lambda_k.
-    The eigenvector quotient is included in the reported sampled minimum.
-    This proves the bound for the sampled directions only; it is the
-    randomized route that checks ``check_contract``'s certificate at small n.
-
-    The mass products of the sample block use the three-term stencil of M's
-    column, in O(n) per sample; A_alpha is dense and multiplies the block
-    densely.
+    The margin n eps (||A_alpha||_1 + |lambda| ||M||_1) / lambda_min(M),
+    with the larger |lambda| of lambda_1 and lambda_k, bounds the rounding of
+    the shifted column and of its factorization in ``_certificate``: the
+    factor n eps is taken to cover the factorizations and the split's
+    2 eps ||T||_1 (one rounded sum per block entry, ``_toeplitz._half``)
+    together, T being the shifted matrix.  By the triangle inequality the
+    margin is never below n eps ||A_alpha - lambda M||_1 / lambda_min(M),
+    and unlike that it cannot vanish when A_alpha - lambda M cancels (at
+    n = 1 it is rounding alone); where nothing cancels the two are equal,
+    and it adds no room of its own for the split.  The 1-norms are
+    ``_toeplitz.norm_1`` of the columns, and lambda_min(M) =
+    h (2 + cos(n pi/(n+1)))/3 is the closed-form smallest eigenvalue of the
+    P1 mass matrix.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
-    a_mat = pencil.a_alpha
-    mass = pencil.mass.data
-    column = pencil.mass.column
-    k = result.lambdas.size
-    per_k = []
-    for j in range(1, k + 1):
-        lam = result.lambdas[j - 1]
-        tol = 1e-8 * (1.0 + abs(lam))
-        z = rng.standard_normal((pencil.n, VARIATIONAL_SAMPLES))
-        if j > 1:
-            u_prev = result.vectors[:, : j - 1]
-            active = np.abs(result.lambdas[: j - 1]) != 0.0
-            basis = u_prev[:, active]
-            if basis.size:
-                z = z - basis @ (basis.T @ _toeplitz.times(column, z))
-        num = np.einsum("ij,ij->j", z, a_mat @ z)
-        den = np.einsum("ij,ij->j", z, _toeplitz.times(column, z))
-        good = den > 1e-12 * np.max(den)
-        quotients = num[good] / den[good]
-        u_k = result.vectors[:, j - 1]
-        attained = float(u_k @ a_mat @ u_k) / float(u_k @ mass @ u_k)
-        sampled_min = float(np.min(quotients)) if quotients.size else attained
-        sampled_min = min(sampled_min, attained)
-        holds = sampled_min >= lam - tol and abs(attained - lam) <= tol
-        per_k.append(
-            {"k": j, "lambda": float(lam), "sampled_min": sampled_min,
-             "attained": attained, "holds": bool(holds)}
-        )
+    n = pencil.n
+    mass_min = pencil.mesh.h * (2.0 + math.cos(n * math.pi / (n + 1))) / 3.0
+    largest = float(max(abs(lambdas[0]), abs(lambdas[-1])))
+    norm = _toeplitz.norm_1(pencil.column) + largest * _toeplitz.norm_1(pencil.mass.column)
+    return float(n * np.finfo(float).eps * norm / mass_min)
+
+
+def verify_variational_characterization(result: SpectrumResult, pencil: MixedPencil) -> dict:
+    """Check the computed eigenvalues against a dense eigensolve of (A_alpha, M).
+
+    The k smallest eigenvalues of the dense generalized problem come from
+    LAPACK in the original basis, a route independent of the solver's and of
+    the certificate's.  Each lambda_j must lie within delta_j =
+    max(1e-8 (1 + |lambda_j|), ``_margin``) of the j-th, the certificate's
+    own shift, so a raised value, a skipped eigenvalue or an eigenpair from
+    further up the spectrum fails.  It builds A_alpha and M densely, so it
+    is meant for desk-scale n.
+    """
+    lambdas = result.lambdas
+    dense = scipy.linalg.eigh(pencil.a_alpha, pencil.mass.data,
+                              subset_by_index=[0, lambdas.size - 1], eigvals_only=True)
+    deltas = np.maximum(1e-8 * (1.0 + np.abs(lambdas)), _margin(pencil, lambdas))
+    per_k = [{"k": j + 1, "lambda": float(lam), "dense": float(value), "delta": float(delta),
+              "holds": bool(abs(lam - value) <= delta)}
+             for j, (lam, value, delta) in enumerate(zip(lambdas, dense, deltas))]
     return {"op": "variational_characterization", "holds": all(row["holds"] for row in per_k),
             "per_k": per_k}
 

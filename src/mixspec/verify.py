@@ -296,7 +296,7 @@ def suite_spectrum_contract(rng):
         lam = res.lambdas
         if np.any(np.diff(lam) < -1e-12 * (1.0 + np.abs(lam[1:]))):
             return _result(name, details, {"check": "ascending", "alpha": alpha})
-        # the contract of every spectrum request; it draws nothing from rng
+        # the contract of every spectrum request
         contract = spectral.check_contract(res, pencil)
         if not contract["holds"]:
             failed = next((key for key in spectral.CONTRACT_FLAGS if not contract[key]),
@@ -306,7 +306,7 @@ def suite_spectrum_contract(rng):
         res_bound = 1e-8 * (1.0 + np.abs(lam)) * float(np.max(np.abs(mass)))
         if np.any(res.residuals > res_bound):
             return _result(name, details, {"check": "residuals", "alpha": alpha})
-        var = spectral.verify_variational_characterization(res, pencil, rng=rng)
+        var = spectral.verify_variational_characterization(res, pencil)
         if not var["holds"]:
             return _result(name, details, {"check": "variational", "alpha": alpha, "per_k": var["per_k"]})
     direct = scipy.linalg.eigh(base.a_loc.data, mass, subset_by_index=[0, 4])[0]

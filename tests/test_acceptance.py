@@ -205,7 +205,6 @@ def test_spectral_solver_contract_suite():
     base = assemble_pencil(mesh, 0.5, 0.0)
     c_h = embedding_constant(base)
     mass = base.mass.data
-    rng = np.random.default_rng(600)
     for alpha in (-50.0, -1.1 / c_h, -0.5 / c_h, 0.0, 1.0, 10.0):
         pencil = base.with_alpha(alpha)
         res = solve_spectrum(pencil, 5)
@@ -216,7 +215,7 @@ def test_spectral_solver_contract_suite():
         b_mat = v.T @ pencil.a_alpha @ v
         off = np.max(np.abs(b_mat - np.diag(np.diag(b_mat))))
         assert off <= 1e-6 * np.max(np.abs(np.diag(b_mat)))
-        var = verify_variational_characterization(res, pencil, rng=rng)
+        var = verify_variational_characterization(res, pencil)
         assert var["holds"], f"variational check failed at alpha={alpha}"
 
     mesh32 = build_mesh(0.0, 1.0, 32)

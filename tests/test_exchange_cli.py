@@ -742,6 +742,37 @@ class TestCliVerify:
         assert main(["verify", "--suites", "nope", "--out", str(tmp_path)]) == 2
 
 
+class TestFileAccess:
+    # the flags that name the input; the last case names it by a config line f = PATH
+    @pytest.mark.parametrize("flags", [
+        ["kfunc", "--f"], ["kfunc", "--couple"], ["kfunc", "--config"],
+        ["verify", "--suites", "fem_structure", "--matrix"], ["kfunc", "--config", "f"]])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, flags, kind):
+        # an input that cannot be read is a parameter error, named once
+        path = tmp_path / "input.txt"
+        if kind == "directory":
+            path.mkdir()
+        if flags[-1] == "f":
+            config = tmp_path / "kfunc.cfg"
+            config.write_text(f"f = {path}\n")
+            args = [*flags[:-1], str(config)]
+        else:
+            args = [*flags, str(path)]
+        assert main(args + ["--n", "3", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert err.count(path.name) == 1 and "Errno" not in err
+
+    @pytest.mark.parametrize("out", ["regular", "regular/sub"])
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, out):
+        (tmp_path / "regular").write_text("")
+        assert main(["spectrum", "--n", "7", "--alpha", "1", "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count(str(tmp_path / out)) == 1
+
+
 class TestFileContentFuzz:
     """Any bytes in an input file end in an exit code of the contract, never a traceback."""
 

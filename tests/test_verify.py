@@ -91,3 +91,13 @@ def test_spectrum_suite_alpha0_solve_is_the_base_pencil():
     base = spectral.assemble_pencil(build_mesh(0.0, 1.0, 63), 0.5, 0.0)
     assert np.array_equal(base.with_alpha(0.0).a_alpha, base.a_alpha)
     assert base.with_alpha(0.0).alpha == base.alpha
+
+
+def test_spectrum_suite_draws_nothing():
+    # every check of the suite is exact, so its result is the same for any seed
+    a, b = np.random.default_rng([0, 6]), np.random.default_rng([7, 6])
+    state = a.bit_generator.state
+    result = verify.suite_spectrum_contract(a)
+    assert result["passed"]
+    assert result == verify.suite_spectrum_contract(b)
+    assert a.bit_generator.state == state
