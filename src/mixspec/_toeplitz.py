@@ -45,10 +45,12 @@ def norm_1(column: np.ndarray) -> float:
 
     Column j of a symmetric Toeplitz matrix holds |c_0|..|c_j| above and
     including the diagonal and |c_1|..|c_(n-1-j)| below it, so with prefix
-    sums P its absolute sum is P_j + P_(n-1-j) - |c_0|.
+    sums P its absolute sum is P_j + P_(n-1-j) - |c_0|.  A sum past the
+    float range is inf, with no warning.
     """
-    prefix = np.cumsum(np.abs(column))
-    return float(np.max(prefix + prefix[::-1]) - abs(column[0]))
+    with np.errstate(over="ignore"):
+        prefix = np.cumsum(np.abs(column))
+        return float(np.max(prefix + prefix[::-1]) - abs(column[0]))
 
 
 def symbol_floor(column: np.ndarray, mass_column: np.ndarray) -> float:
@@ -174,12 +176,15 @@ def definite(column: np.ndarray) -> bool:
                for even in (True, False))
 
 
-def count_below(column: np.ndarray) -> int:
+def count_below(column: np.ndarray) -> int | None:
     """The number of negative eigenvalues of T (Sylvester inertia).
 
-    A banded column takes the Sturm pass.  Otherwise the count is the sum of
+    A non-finite column has no count: None, and nothing is factored.  A
+    banded column takes the Sturm pass.  Otherwise the count is the sum of
     the two blocks' counts of ``_half``, each by ``_negative_pivots``.
     """
+    if not np.isfinite(column).all():
+        return None
     if banded(column):
         return _sturm(column)[0]
     return sum(_negative_pivots(_half(column, even)) for even in (True, False))

@@ -1,6 +1,7 @@
 """Batch command-line front end.
 
-Subcommands: ``assemble``, ``spectrum``, ``sweep``, ``kfunc``, ``verify``.
+Subcommands: ``assemble``, ``spectrum``, ``sweep``, ``kfunc``, ``verify``;
+each takes only the flags its command reads, and any other is a usage error.
 Exit codes: 0 success, 1 verification/runtime failure, 2 parameter error,
 64 usage error.  All outputs are deterministic functions of the flags and
 the seed; nothing carries timestamps.
@@ -66,39 +67,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# Every option once, grouped by the subcommands that take it, in --help
-# order: its default and its argparse keywords.  A config file may set any
-# option of any subcommand but those in _FLAG_ONLY; its value goes through
+# Every option once, in --help order: the subcommands whose command reads it
+# (only they take its flag), its default and its argparse keywords.  A config
+# file may set any option but those in _FLAG_ONLY under any subcommand, which
+# checks the value and ignores a key it does not read.  A value goes through
 # the flag's own type (str if none), token by token when the flag has nargs.
+_ALL = ("assemble", "spectrum", "sweep", "kfunc", "verify")
+_MESH = ("assemble", "spectrum", "sweep", "kfunc")
 _OPTIONS = {
-    ("assemble", "spectrum", "sweep", "kfunc", "verify"): {
-        "domain": ((0.0, 1.0), dict(nargs=2, type=float, metavar=("A", "B"))),
-        "n": (31, dict(type=int, help="interior mesh nodes")),
-        "s": ("0.5", dict(help="fractional order(s) in (0,1)")),
-        "alpha": (None, dict(type=float, help="coupling of the nonlocal part")),
-        "alpha_range": (None, dict(nargs=3, type=float, metavar=("LO", "HI", "COUNT"))),
-        "k": (5, dict(type=int, help="number of eigenpairs")),
-        "p": ("2", dict(help="interpolation exponent(s), e.g. 1,2,inf")),
-        "seed": (0, dict(type=int)),
-        "out": (".", dict(help="output directory")),
-        "format": ("csv", dict(choices=["csv", "json"])),
-        "config": (None, dict(help="flat key = value config file")),
-    },
-    ("spectrum",): {
-        "vectors": (False, dict(action="store_true", help="also write one eigenvector file per k")),
-    },
-    ("kfunc",): {
-        "couple": ("l2-h1", dict(help="'l2-h1' (built from mesh flags) or a couple file path")),
-        "f": (None, dict(help="vector file for the element")),
-        "x": (None, dict(help="extra x sample points, comma separated")),
-    },
-    ("verify",): {
-        "suites": (None, dict(help="comma list of suite names")),
-        "matrix": (None, dict(action="append",
-                              help="matrix file to check structurally (repeatable)")),
-    },
+    "domain": (_MESH, (0.0, 1.0), dict(nargs=2, type=float, metavar=("A", "B"))),
+    "n": (_MESH, 31, dict(type=int, help="interior mesh nodes")),
+    "s": (_MESH, "0.5", dict(help="fractional order(s) in (0,1)")),
+    "alpha": (("spectrum", "sweep"), None, dict(type=float, help="coupling of the nonlocal part")),
+    "alpha_range": (("sweep",), None, dict(nargs=3, type=float, metavar=("LO", "HI", "COUNT"))),
+    "k": (("spectrum", "sweep"), 5, dict(type=int, help="number of eigenpairs")),
+    "p": (("kfunc",), "2", dict(help="interpolation exponent(s), e.g. 1,2,inf")),
+    "seed": (("spectrum", "kfunc", "verify"), 0, dict(type=int)),
+    "out": (_ALL, ".", dict(help="output directory")),
+    "format": (("spectrum", "sweep", "kfunc"), "csv", dict(choices=["csv", "json"])),
+    "config": (_ALL, None, dict(help="flat key = value config file")),
+    "vectors": (("spectrum",), False,
+                dict(action="store_true", help="also write one eigenvector file per k")),
+    "couple": (("kfunc",), "l2-h1",
+               dict(help="'l2-h1' (built from mesh flags) or a couple file path")),
+    "f": (("kfunc",), None, dict(help="vector file for the element")),
+    "x": (("kfunc",), None, dict(help="extra x sample points, comma separated")),
+    "suites": (("verify",), None, dict(help="comma list of suite names")),
+    "matrix": (("verify",), None,
+               dict(action="append", help="matrix file to check structurally (repeatable)")),
 }
-_SPECS = {key: spec for options in _OPTIONS.values() for key, spec in options.items()}
 # a config file names no further config file, and its one line per key
 # cannot repeat --matrix
 _FLAG_ONLY = ("config", "matrix")
@@ -116,12 +113,11 @@ def _build_parser() -> _Parser:
     """
     parser = _Parser(prog="mixspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.__doc__)
-        for commands, options in _OPTIONS.items():
-            if name in commands:
-                for key, (_, kwargs) in options.items():
-                    p.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
+    subparsers = {name: sub.add_parser(name, help=command.__doc__)
+                  for name, command in _COMMANDS.items()}
+    for key, (commands, _, kwargs) in _OPTIONS.items():
+        for name in commands:
+            subparsers[name].add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
     return parser
 
 
@@ -151,7 +147,7 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _config_value(key: str, raw: str):
-    kwargs = _SPECS[key][1]
+    kwargs = _OPTIONS[key][2]
     if kwargs.get("action") == "store_true":
         return {"1": True, "true": True, "yes": True,
                 "0": False, "false": False, "no": False}[raw.lower()]
@@ -162,7 +158,7 @@ def _config_value(key: str, raw: str):
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    cfg = {key: default for key, (default, _) in _SPECS.items()}
+    cfg = {key: default for key, (_, default, _) in _OPTIONS.items()}
     if args.config:
         for key, raw in _read_config(args.config).items():
             if key not in cfg or key in _FLAG_ONLY:
@@ -176,13 +172,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         if flag_val is not None:
             cfg[key] = tuple(flag_val) if isinstance(flag_val, list) else flag_val
     cfg["command"] = args.command
-    for key, (_, kwargs) in _SPECS.items():
+    for key, (_, _, kwargs) in _OPTIONS.items():
         count = kwargs.get("nargs")
         if count is not None and cfg[key] is not None and len(cfg[key]) != count:
             raise ParameterError(f"{key} takes {count} numbers, got {cfg[key]}")
     if cfg["domain"][0] >= cfg["domain"][1]:
         raise ParameterError(f"domain must satisfy a < b, got {cfg['domain']}")
-    for key, (_, kwargs) in _SPECS.items():
+    for key, (_, _, kwargs) in _OPTIONS.items():
         if "choices" in kwargs and cfg[key] not in kwargs["choices"]:
             raise ParameterError(
                 f"{key} must be {' or '.join(kwargs['choices'])}, got {cfg[key]!r}")
@@ -233,7 +229,7 @@ def _write_table(path_base: Path, fmt_kind: str, header: list[str], rows: list[l
     if fmt_kind == "csv":
         path = path_base.with_suffix(".csv")
         lines = [",".join(header)]
-        lines += [",".join(str(v) for v in row) for row in rows]
+        lines += [",".join(exchange.fmt(v) for v in row) for row in rows]
         path.write_text("\n".join(lines) + "\n")
     else:
         path = path_base.with_suffix(".json")
@@ -399,8 +395,7 @@ def cmd_kfunc(cfg) -> int:
     bound = np.minimum(couple.norm_x(f), xs * couple.norm_y(f))
 
     out = _outdir(cfg)
-    rows = [[exchange.fmt(xs[i]), exchange.fmt(k_vals[i]), exchange.fmt(k2_vals[i]),
-             exchange.fmt(bound[i])] for i in range(xs.size)]
+    rows = np.column_stack([xs, k_vals, k2_vals, bound]).tolist()
     table_path = _write_table(out / "kcurve", cfg["format"], ["x", "K", "K2", "bound"], rows)
 
     bracket_violation = float(np.max(np.maximum(
@@ -444,14 +439,11 @@ def cmd_kfunc(cfg) -> int:
 
 def cmd_verify(cfg) -> int:
     """run the invariant suites"""
-    names = None
-    if cfg["suites"]:
-        names = [t.strip() for t in str(cfg["suites"]).split(",") if t.strip()]
-        unknown = [t for t in names if t not in verify.SUITES]
-        if unknown:
-            raise ParameterError(f"unknown suites: {unknown}; available: {sorted(verify.SUITES)}")
-    matrix_files = list(cfg["matrix"] or ())
-    report = verify.run_suites(cfg["seed"], names, matrix_files)
+    names = [t.strip() for t in str(cfg["suites"] or "").split(",") if t.strip()]
+    unknown = [t for t in names if t not in verify.SUITES]
+    if unknown:
+        raise ParameterError(f"unknown suites: {unknown}; available: {sorted(verify.SUITES)}")
+    report = verify.run_suites(cfg["seed"], names, cfg["matrix"] or ())
     out = _outdir(cfg)
     exchange.write_json(out / "verify_report.json", report)
     for suite in report["suites"]:

@@ -622,7 +622,9 @@ def _certificate(pencil: MixedPencil, lambdas: np.ndarray, attained: np.ndarray,
     k = lambdas.size
 
     def shifted(sigma):
-        return pencil.mass.column * -sigma + pencil.column
+        # an infinite shift or an overflow leaves a non-finite column: no count, null
+        with np.errstate(over="ignore", invalid="ignore"):
+            return pencil.mass.column * -sigma + pencil.column
 
     margin = _margin(pencil, lambdas)
     delta_1, delta_k = max(tol[0], margin), max(tol[-1], margin)
@@ -639,7 +641,7 @@ def _certificate(pencil: MixedPencil, lambdas: np.ndarray, attained: np.ndarray,
         "below_upper": below_upper,
     }
     counts_hold = below_lower == 0 and below_upper == k
-    if below_upper > k:
+    if below_upper is not None and below_upper > k:
         tie = float(lambdas[-1] - delta_k)
         below_tie = _toeplitz.count_below(shifted(tie))
         computed = int(np.count_nonzero(lambdas < tie))

@@ -426,9 +426,12 @@ def suite_brezis_stability(rng):
 # ----------------------------------------------------------------------------
 
 def check_matrix_file(path):
-    """Structural invariants of a matrix exchange file, by declared kind."""
+    """Structural invariants of a matrix exchange file by declared kind, or its parse failure."""
     name = f"matrix_file:{path}"
-    block = exchange.read_matrix(path)
+    try:
+        block = exchange.read_matrix(path)
+    except exchange.FormatError as exc:
+        return _result(name, {}, {"check": "parse", "error": str(exc)})
     data = block.data
     details = {"kind": block.kind, "shape": list(data.shape)}
     if data.shape[0] != data.shape[1]:
@@ -466,20 +469,13 @@ SUITES = {
 
 
 def run_suites(seed: int, names=None, matrix_files=()) -> dict:
-    """Run the requested suites (all by default) plus any matrix-file checks."""
-    chosen = list(SUITES) if not names else list(names)
-    results = []
-    for index, suite_name in enumerate(chosen):
-        rng = np.random.default_rng([seed, index])
-        results.append(SUITES[suite_name](rng))
-    for path in matrix_files:
-        try:
-            results.append(check_matrix_file(path))
-        except exchange.FormatError as exc:
-            results.append(_result(f"matrix_file:{path}", {},
-                                   {"check": "parse", "error": str(exc)}))
-    return {
-        "seed": seed,
-        "suites": results,
-        "all_passed": all(r["passed"] for r in results),
-    }
+    """Run the requested suites (all by default) plus any matrix-file checks.
+
+    A suite draws from ``default_rng([seed, i])``, i its place in ``SUITES``,
+    so a subset run repeats the full run's rows.  The matrix files are read
+    first, so an unreadable one fails before any suite runs; their rows come last.
+    """
+    matrix_rows = [check_matrix_file(path) for path in matrix_files]
+    results = [SUITES[name](np.random.default_rng([seed, list(SUITES).index(name)]))
+               for name in (names or SUITES)] + matrix_rows
+    return {"seed": seed, "suites": results, "all_passed": all(r["passed"] for r in results)}

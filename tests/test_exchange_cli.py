@@ -20,7 +20,7 @@ from mixspec import (
     build_mesh,
     embedding_constant,
 )
-from mixspec import cli, spectral
+from mixspec import cli, spectral, verify
 from mixspec.cli import MAX_SWEEP_COUNT, main
 from mixspec.errors import ParameterError
 from mixspec.exchange import (
@@ -267,6 +267,18 @@ class TestCliSpectrum:
         assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k, alpha", [("2", "-1e307"), ("1", "-1.8e307"), ("1", "-3e307")])
+    def test_overflowing_certificate(self, tmp_path, capsys, k, alpha):
+        # the margin overflows to inf, so both shifted columns hold NaN: the
+        # certificate takes no count of them and fails, and nothing is printed
+        code = main(["spectrum", "--n", "5", "--domain", "0", "1e10", "--k", k,
+                     f"--alpha={alpha}", "--out", str(tmp_path)])
+        assert code == 1 and capsys.readouterr().err == ""
+        variational = json.loads((tmp_path / "spectrum_report.json").read_text())["variational"]
+        assert variational["holds"] is False and variational["margin"] == math.inf
+        assert variational["below_lower"] is None and variational["below_upper"] is None
+
+    @pytest.mark.filterwarnings("error")
     def test_huge_negative_alpha(self, tmp_path, capsys):
         # lambda_1 ~ -6.4e301: the residual norms are taken scaled, and gamma
         # cancels lambda_1 to within the lower bound's tolerance
@@ -494,6 +506,7 @@ class TestNumericFlagFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(alpha=NUMBER, a=NUMBER, b=NUMBER, k=COUNT)
     @example(alpha="1", a="0", b="1", k="-1")
+    @example(alpha="-1e307", a="0", b="1e10", k="2")  # the certificate's margin overflows
     def test_spectrum(self, tmp_path, capsys, alpha, a, b, k):
         # a value parses the same spaced as in its --alpha=value form
         base = ["spectrum", "--n", "3", "--k", k, "--domain", a, b, "--out", str(tmp_path)]
@@ -618,6 +631,18 @@ class TestCliKfunc:
         rows = (tmp_path / "kcurve.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
+    def test_json_table_holds_numbers(self, tmp_path):
+        args = ["kfunc", "--n", "7", "--x", "0.5", "--seed", "1", "--out"]
+        assert main(args + [str(tmp_path / "csv")]) == 0
+        assert main(args + [str(tmp_path / "json"), "--format", "json"]) == 0
+        lines = (tmp_path / "csv" / "kcurve.csv").read_text().splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        table = json.loads((tmp_path / "json" / "kcurve.json").read_text())
+        assert len(table) == len(rows) == 65
+        for entry, row in zip(table, rows):
+            assert all(type(entry[key]) is float for key in header)
+            assert [entry[key] for key in header] == [float(value) for value in row]
+
     def test_couple_file_source(self, tmp_path):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 4))
@@ -738,6 +763,32 @@ class TestCliVerify:
         failed = [s for s in report["suites"] if not s["passed"]]
         assert len(failed) == 1 and failed[0]["counterexample"]["check"] == "parse"
 
+    def test_matrix_files_read_before_suites(self, tmp_path, monkeypatch):
+        # a missing matrix file exits 2 before any suite runs; a malformed one
+        # is read first too, and its parse row still comes last
+        calls = []
+
+        def suite(rng):
+            calls.append("suite")
+            return {"name": "lebesgue", "passed": True, "details": {}, "counterexample": None}
+
+        def read_matrix(path):
+            calls.append("matrix")
+            return read_matrix_file(path)
+
+        read_matrix_file = verify.exchange.read_matrix
+        monkeypatch.setitem(verify.SUITES, "lebesgue", suite)
+        monkeypatch.setattr(verify.exchange, "read_matrix", read_matrix)
+        args = ["verify", "--suites", "lebesgue", "--matrix"]
+        assert main(args + [str(tmp_path / "missing.txt"), "--out", str(tmp_path / "a")]) == 2
+        assert calls == ["matrix"] and not (tmp_path / "a").exists()
+        (tmp_path / "bad.txt").write_text("# 1 1 Mass NA\nnan\n")
+        assert main(args + [str(tmp_path / "bad.txt"), "--out", str(tmp_path / "b")]) == 1
+        assert calls == ["matrix", "matrix", "suite"]
+        rows = json.loads((tmp_path / "b" / "verify_report.json").read_text())["suites"]
+        assert [row["counterexample"] and row["counterexample"]["check"] for row in rows] == [
+            None, "parse"]
+
     def test_unknown_suite(self, tmp_path):
         assert main(["verify", "--suites", "nope", "--out", str(tmp_path)]) == 2
 
@@ -759,7 +810,9 @@ class TestFileAccess:
             args = [*flags[:-1], str(config)]
         else:
             args = [*flags, str(path)]
-        assert main(args + ["--n", "3", "--out", str(tmp_path / "out")]) == 2
+        if flags[0] == "kfunc":  # verify takes no mesh flag
+            args += ["--n", "3"]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert err.count(path.name) == 1 and "Errno" not in err
@@ -933,3 +986,92 @@ class TestConfigFile:
         assert main(["assemble", "--config", str(config), "--out",
                      str(tmp_path / "o"), "--s", "0.5"]) == 0
         assert read_matrix(tmp_path / "o" / "mass.txt").data.shape == (5, 5)
+
+
+class TestSubcommandOptions:
+    """Each subcommand takes the flags its command reads, and no other."""
+
+    # requests that between them reach every option each command reads
+    REQUESTS = {
+        "assemble": [["--n", "5"]],
+        "spectrum": [["--n", "5", "--alpha", "-2", "--k", "2"]],
+        "sweep": [["--n", "5", "--alpha-range", "-3", "1", "3", "--k", "2"],
+                  ["--n", "5", "--alpha", "1", "--k", "2"]],
+        "kfunc": [["--n", "5", "--x", "0.5,2"]],
+        "verify": [["--suites", "fem_structure"]],
+    }
+    # the eleven flags once shared by every subcommand, and each one's own flags
+    SHARED = ("domain", "n", "s", "alpha", "alpha-range", "k", "p", "seed", "out", "format",
+              "config")
+    OWN = {"assemble": (), "spectrum": ("vectors",), "sweep": (), "kfunc": ("couple", "f", "x"),
+           "verify": ("suites", "matrix")}
+    REFUSED = [("assemble", flag) for flag in ("alpha", "alpha-range", "k", "p", "seed", "format")]
+    REFUSED += [("spectrum", "alpha-range"), ("spectrum", "p"), ("sweep", "p"), ("sweep", "seed")]
+    REFUSED += [("kfunc", flag) for flag in ("alpha", "alpha-range", "k")]
+    REFUSED += [("verify", flag) for flag in ("domain", "n", "s", "alpha", "alpha-range", "k",
+                                              "p", "format")]
+    VALUES = {"domain": ["0", "1"], "alpha-range": ["-3", "1", "3"], "format": ["json"],
+              "vectors": []}
+
+    @staticmethod
+    def _declared(command):
+        parser = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        return {option[2:] for option in parser.choices[command]._option_string_actions
+                if option.startswith("--") and option != "--help"}
+
+    @pytest.mark.parametrize("command", sorted(REQUESTS))
+    def test_declared_options_are_read(self, tmp_path, command):
+        seen = set()
+
+        class Recorder(dict):
+            def __getitem__(self, key):
+                seen.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                seen.add(key)
+                return super().get(key, default)
+
+        for j, argv in enumerate(self.REQUESTS[command]):
+            args = cli._build_parser().parse_args(
+                [command, *argv, "--out", str(tmp_path / str(j))])
+            assert cli._COMMANDS[command](Recorder(cli._resolve(args))) == 0
+        declared = {option.replace("-", "_") for option in self._declared(command)}
+        assert seen == declared - {"config"}
+
+    def test_flag_slots(self):
+        # 61 when every subcommand took the shared flags, 21 of them unread
+        assert len(self.REFUSED) == 21
+        assert sum(len(self._declared(command)) for command in self.OWN) == 40
+
+    @pytest.mark.parametrize("command, flag", REFUSED)
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as info:
+            main([command, f"--{flag}", *self.VALUES.get(flag, ["1"]), "--out", str(out)])
+        assert info.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: mixspec")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(OWN))
+    def test_prefixes_keep_their_option(self, command):
+        # argparse takes a unique prefix of a long option; each prefix the
+        # full flag set took names the same option now, or is a usage error
+        before = ("help",) + self.SHARED + self.OWN[command]
+        for option in before[1:]:
+            for end in range(1, len(option) + 1):
+                prefix = option[:end]
+                matches = [o for o in before if o.startswith(prefix)]
+                meant = prefix if prefix in before else matches[0] if len(matches) == 1 else None
+                if meant in (None, "help"):
+                    continue
+                argv = [command, "--" + prefix, *self.VALUES.get(meant, ["1"])]
+                try:
+                    args = cli._build_parser().parse_args(argv)
+                except SystemExit as exc:
+                    assert exc.code == 64, argv
+                    continue
+                given = {key for key, value in vars(args).items()
+                         if value is not None and key != "command"}
+                assert given == {meant.replace("-", "_")}, argv

@@ -50,10 +50,13 @@ class TestBanded:
     def test_non_finite_column_is_not_definite(self, column):
         # the Sturm pass carries an infinite diagonal to a positive last pivot,
         # and potrf factors toeplitz([inf, 0.5, 0.25]) and toeplitz([nan, 0.5,
-        # 0.25]) without error, so the finiteness test stands before both routes
+        # 0.25]) without error, so the finiteness test stands before both
+        # routes; count_below takes no count of such a column either
         column = np.array(column)
         assert _toeplitz.definite(column) is False
         assert _dense(_toeplitz.definite, column) is False
+        assert _toeplitz.count_below(column) is None
+        assert _dense(_toeplitz.count_below, column) is None
 
 
 class TestInertia:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixspec import build_mesh, interpolation, spectral, verify
+from mixspec import build_mesh, exchange, interpolation, spectral, verify
 
 
 def _loop_k_samples(rng):
@@ -101,3 +101,14 @@ def test_spectrum_suite_draws_nothing():
     assert result["passed"]
     assert result == verify.suite_spectrum_contract(b)
     assert a.bit_generator.state == state
+
+
+def test_subset_rows_equal_the_full_run():
+    # a suite draws by its place in SUITES, not in the chosen list, so a subset
+    # run in any order repeats the full run's rows byte for byte
+    full = {row["name"]: exchange.dumps_json(row) for row in verify.run_suites(0)["suites"]}
+    for names in (["interpolation_norms", "operator_interpolation"],
+                  ["operator_interpolation", "interpolation_norms"], ["brezis_stability"]):
+        rows = verify.run_suites(0, names)["suites"]
+        assert [row["name"] for row in rows] == names
+        assert all(exchange.dumps_json(row) == full[row["name"]] for row in rows)
