@@ -394,10 +394,6 @@ def cmd_kfunc(cfg) -> int:
     k2_vals = interpolation.k2_functional_samples(couple, f, xs)
     bound = np.minimum(couple.norm_x(f), xs * couple.norm_y(f))
 
-    out = _outdir(cfg)
-    rows = np.column_stack([xs, k_vals, k2_vals, bound]).tolist()
-    table_path = _write_table(out / "kcurve", cfg["format"], ["x", "K", "K2", "bound"], rows)
-
     bracket_violation = float(np.max(np.maximum(
         k2_vals - k_vals * (1 + 1e-9),
         k_vals - math.sqrt(2.0) * k2_vals - 1e-9 * np.max(k_vals),
@@ -418,6 +414,10 @@ def cmd_kfunc(cfg) -> int:
                 entry["spectral_reference"] = ref
                 entry["closed_form_rel_error"] = abs(entry["norm_K2"] - ref) / ref if ref else 0.0
             norms.append(entry)
+    # nothing is written before the norms have checked --s and --p
+    out = _outdir(cfg)
+    rows = np.column_stack([xs, k_vals, k2_vals, bound]).tolist()
+    table_path = _write_table(out / "kcurve", cfg["format"], ["x", "K", "K2", "bound"], rows)
     report = {
         "op": "kfunc",
         "inputs": {"couple": label, "seed": cfg["seed"], "dim": couple.dim},

@@ -14,9 +14,12 @@ give, the pencil is congruent to the standard symmetric matrix
     E_alpha = diag(l/m) + alpha B,
 
 with the same eigenvalues; an eigenvector y of E_alpha gives the pencil's
-S D y, M-orthonormal when y is orthonormal.  B is built once per assembled
-(mesh, s), on the first solve that needs it, and every ``with_alpha``
-coupling shares it.
+S D y, M-orthonormal when y is orthonormal.  The sine modes are even or
+odd about the midpoint and A_frac commutes with the reflection, so B, and
+with it E_alpha, splits into an even block on the modes 1, 3, 5, ... and an
+odd block on 2, 4, 6, ...; only the two blocks are kept (``SineBasis``).
+They are built once per assembled (mesh, s), on the first solve that needs
+them, and every ``with_alpha`` coupling shares them.
 
 Only the k lowest eigenpairs are asked for, so ``_lowest`` answers each
 request by the cheapest exact route and records which one it took.  At
@@ -29,7 +32,7 @@ A - sigma M, and each step applies (A - sigma M)^-1 by the
 Gohberg-Semencul inverse.  Neither route builds B, and this one builds no
 n x n array.  Otherwise, and whenever a pivot is refused, ARPACK fails or its
 pairs' backward error exceeds n eps, the standard dense eigensolve of
-E_alpha answers.
+E_alpha answers, one half-size block at a time.
 
 The paper's proof device, the minimal shift gamma >= 0 making
 
@@ -79,7 +82,8 @@ THRESHOLD_RTOL.  It tests A_alpha, not E_alpha, so that it checks C_h,
 computed from B, against the original basis.
 
 C_h and the Brezis-type constant C_B (``verify_brezis_inequality``) are
-both the top eigenvalue of a diagonally weighted B (``SineBasis.top``).
+both the top eigenvalue of a diagonally weighted B (``SineBasis.top``), the
+larger of its two blocks' top eigenvalues.
 """
 
 from __future__ import annotations
@@ -128,15 +132,18 @@ THRESHOLD_RTOL = 1e-8  # |alpha* + 1/C_h| C_h
 # the smallest Durbin pivot of A - sigma M that _shift_invert accepts, over ||A - sigma M||_1
 PIVOT_RTOL = 1e-4
 # _lowest's shift-invert route runs from this n on, for k <= n / SHIFT_INVERT_K_RATIO.
-# Its time over the dense route's with the Durbin and Gohberg-Semencul operator
-# (assembly and solve_spectrum with gamma, k = 5; 2-core Xeon, OpenBLAS on one
-# thread; best of 5, two runs, s in {0.3, 0.7}, alpha in {-15, -0.5, 5}):
-# 1.01-3.2 at n = 127, 1.03-2.0 at 255, 0.68-1.17 at 383, 0.54-0.87 at 447,
-# 0.42-0.69 at 511, 0.18-0.28 at 767.  With B already built, as a sweep shares
-# it: 1.7-2.9 at 255, 1.0-2.1 at 383, 0.98-1.41 at 447, 0.55-0.99 at 511.  In k
-# the shift-invert route still wins at k = 32 for n = 511 (0.69-0.83) and at
-# k = 96 for n = 1023 (0.37-0.68); the ratio keeps the routes of earlier versions.
-SHIFT_INVERT_MIN_N = 416
+# Its time over the dense route's on B's two parity blocks (assembly and
+# solve_spectrum with gamma, k = 5; 2-core Xeon, OpenBLAS on one thread; best of
+# 5, two runs, s in {0.3, 0.7}, alpha in {-15, -0.5, 5}): 1.35-3.16 at n = 255,
+# 1.10-2.20 at 383, 0.70-1.10 at 511, 0.59-0.76 at 575, 0.50-0.70 at 639,
+# 0.34-1.02 at 767.  With B already built, as a sweep shares it: 3.17-3.75 at 255,
+# 1.95-2.35 at 383, 1.26-1.51 at 511, 1.01-1.34 at 575, 0.94-1.44 at 639, 0.71-1.06
+# at 767.  So a sweep keeps the dense route through the n = 511 it runs at, and a
+# one-off request takes shift-invert from where it wins.  In k (best of 3) the
+# shift-invert route still wins at k = 48 for n = 767 (0.66-0.82) and at k = 64 for
+# n = 1023 (0.63-0.93), and ties at k = 96 for n = 1023 (0.76-1.03); the ratio keeps
+# the routes of earlier versions.
+SHIFT_INVERT_MIN_N = 512
 SHIFT_INVERT_K_RATIO = 32
 _NOT_FINITE = "eigenvalues leave the floating-point range: the matrix is not finite"
 
@@ -147,8 +154,16 @@ class SineBasis:
     ``scale`` is D = diag(m)^(-1/2), ``ratio`` is l/m (module docstring) and
     ``weight`` is diag(l/m)^(-1/2); all three are closed forms, with
     1 - cos theta taken as 2 sin^2(theta/2) so that no digit cancels.
-    ``fractional`` is B = D S A_frac S D, built on first use from A_frac's
-    column: callers that never solve never pay its two DSTs.
+
+    ``fractional`` holds B = D S A_frac S D by parity, built on first use
+    from A_frac's column: callers that never solve never pay its two DSTs.
+    Sine mode j + 1 (0-based j) is even about the midpoint for even j and
+    odd for odd j, and the symmetric Toeplitz A_frac is centrosymmetric
+    (Cantoni and Butler 1976), so B couples no even mode with an odd one:
+    it is the direct sum of its even block B[0::2, 0::2] and its odd block
+    B[1::2, 1::2].  Only those two blocks are kept, and every dense
+    eigensolve in this basis runs on them one at a time, at about a quarter
+    of the full matrix's flops.  At n = 1 there is no odd block.
     """
 
     def __init__(self, mesh: Mesh1D, a_frac: OperatorMatrix):
@@ -167,42 +182,71 @@ class SineBasis:
         self._frac_column = a_frac.column
 
     @cached_property
-    def fractional(self) -> np.ndarray:
-        """B = D S A_frac S D, read-only."""
-        b = scipy.fft.dst(scipy.linalg.toeplitz(self._frac_column), type=1, norm="ortho", axis=0)
-        b = scipy.fft.dst(b, type=1, norm="ortho", axis=1, overwrite_x=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            b *= self.scale[:, None]
-            b *= self.scale[None, :]
-        b.setflags(write=False)
-        return b
+    def fractional(self) -> tuple[np.ndarray, ...]:
+        """B's even block, then its odd block when n > 1; read-only, each C-ordered.
 
-    def coupled(self, alpha: float, diagonal: float = 1.0) -> np.ndarray:
-        """A new array diagonal * diag(l/m) + alpha B.
-
-        With ``diagonal`` 1 this is E_alpha, whose eigenvalues are the
-        pencil's.  Entries that overflow are left to the eigensolve to refuse.
+        A_frac and S are symmetric, so X = A_frac S is one DST along the
+        contiguous rows of A_frac, and the rows of parity p of S X = X^T S
+        are one DST along the rows of the transposed columns X[:, p::2].
+        Their columns of parity p, scaled by D on both sides, are the block.
+        No full B is built; X is dropped with the call.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = alpha * self.fractional
-            e.flat[:: e.shape[0] + 1] += diagonal * self.ratio
-        return e
+        x = scipy.fft.dst(scipy.linalg.toeplitz(self._frac_column), type=1, norm="ortho",
+                          axis=1, overwrite_x=True)
+        blocks = []
+        for parity in range(min(x.shape[0], 2)):
+            rows = scipy.fft.dst(x[:, parity::2].T.copy(), type=1, norm="ortho", axis=1,
+                                 overwrite_x=True)
+            block = rows[:, parity::2].copy()
+            del rows
+            scale = self.scale[parity::2]
+            with np.errstate(over="ignore", invalid="ignore"):
+                block *= scale[:, None]
+                block *= scale[None, :]
+            block.setflags(write=False)
+            blocks.append(block)
+        return tuple(blocks)
+
+    def coupled(self, alpha: float, diagonal: float = 1.0):
+        """New arrays diagonal * diag(l/m) + alpha B, one per block of ``fractional``.
+
+        With ``diagonal`` 1 they are the blocks of E_alpha, whose eigenvalues
+        together are the pencil's.  A generator, so that one block's array is
+        built only when the caller is done with the last.  Entries that
+        overflow are left to the eigensolve to refuse.
+        """
+        for parity, block in enumerate(self.fractional):
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = alpha * block
+                e.flat[:: e.shape[0] + 1] += diagonal * self.ratio[parity::2]
+            yield e
 
     def top(self, weight: np.ndarray) -> float:
-        """Top eigenvalue of diag(weight) B diag(weight), positive or AccuracyError."""
-        # B W first, so that a tiny weight never meets a tiny weight in one product
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = self.fractional * weight[None, :]
-            scaled *= weight[:, None]
-        n = weight.size
-        top = float(_eigh_subset(scaled, n - 1, n - 1, eigvals_only=True, overwrite_a=True)[0])
+        """Top eigenvalue of diag(weight) B diag(weight), positive or AccuracyError.
+
+        The larger of the two blocks' top eigenvalues.
+        """
+        tops = []
+        for parity, block in enumerate(self.fractional):
+            w = weight[parity::2]
+            # B W first, so that a tiny weight never meets a tiny weight in one product
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = block * w[None, :]
+                scaled *= w[:, None]
+            tops.append(_eigh_subset(scaled, w.size - 1, w.size - 1, eigvals_only=True,
+                                     overwrite_a=True)[0])
+        top = float(np.max(tops))
         # A_frac is PSD with a positive diagonal, so only an underflow gives top <= 0
         if not top > 0.0:
             raise AccuracyError(f"top eigenvalue {top:g} of the weighted B is not a positive float")
         return top
 
     def vectors(self, y: np.ndarray) -> np.ndarray:
-        """Eigenvectors S D y of the pencil from those of E_alpha, columnwise."""
+        """Eigenvectors S D y of the pencil from those of E_alpha, columnwise.
+
+        y is in the full sine basis: a block's eigenvector goes in at its
+        parity's rows, zero elsewhere.
+        """
         return scipy.fft.dst(self.scale[:, None] * y, type=1, norm="ortho", axis=0)
 
 
@@ -329,9 +373,13 @@ def _lowest(pencil: MixedPencil, k: int, diagonal: float, column: np.ndarray, *,
       for k up to n / SHIFT_INVERT_K_RATIO: Durbin's pivots prove the shift
       below lambda_1 and Gohberg-Semencul FFT products apply the inverse.
       No B and no n x n array is built.
-    * ``dense``: the standard eigensolve of diagonal diag(l/m) + alpha B.  It
-      is also the fallback when the shift-invert route fails; the route
-      then records the shift it tried and why it failed.
+    * ``dense``: the standard eigensolve of diagonal diag(l/m) + alpha B,
+      block by block (``SineBasis``): the min(k, size) lowest pairs of the
+      even block, then of the odd one, merged by a stable sort, so that an
+      exact tie puts the even block's pair first.  A block's vector enters
+      S D at its parity's indices.  It is also the fallback when the
+      shift-invert route fails; the route then records the shift it tried
+      and why it failed.
     """
     basis, n = pencil.basis, pencil.n
     if pencil.alpha == 0.0:
@@ -345,12 +393,22 @@ def _lowest(pencil: MixedPencil, k: int, diagonal: float, column: np.ndarray, *,
         if found is not None:
             route["route"] = "shift_invert"
             return (*found, route)
-    reduced = basis.coupled(pencil.alpha, diagonal)
+    # the k lowest of each block's min(k, size) lowest; a tie goes to the even block
+    found = [_eigh_subset(reduced, 0, min(k, reduced.shape[0]) - 1, eigvals_only=not vectors,
+                          overwrite_a=True)
+             for reduced in basis.coupled(pencil.alpha, diagonal)]
     if not vectors:
-        return _eigh_subset(reduced, 0, k - 1, eigvals_only=True, overwrite_a=True), None, route
-    lambdas, reduced_vectors = _eigh_subset(reduced, 0, k - 1, overwrite_a=True)
-    del reduced
-    return lambdas, basis.vectors(reduced_vectors), route
+        lambdas = np.concatenate(found)
+        return lambdas[np.argsort(lambdas, kind="stable")[:k]], None, route
+    lambdas = np.concatenate([values for values, _ in found])
+    order = np.argsort(lambdas, kind="stable")[:k]
+    embedded = np.zeros((n, lambdas.size))
+    start = 0
+    for parity, (values, block_vectors) in enumerate(found):
+        embedded[parity::2, start:start + values.size] = block_vectors
+        start += values.size
+    del found
+    return lambdas[order], basis.vectors(embedded[:, order]), route
 
 
 def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
@@ -387,8 +445,9 @@ def _shift_invert(column: np.ndarray, mass_column: np.ndarray, k: int):
     start would reach the flip-odd eigenvectors through rounding only.
     Lanczos can still miss one copy of a near-multiple eigenvalue.  In a
     ``spectrum`` request the certificate's inertia count then fails, so the
-    miss cannot pass silently; ``sweep`` rows and ``gamma`` take this route
-    uncertified.
+    miss cannot pass silently; from n = SHIFT_INVERT_MIN_N on, ``sweep``
+    rows and ``gamma`` take this route uncertified.  Below it they take the
+    dense route.
     """
     # imported where it solves, so that importing mixspec.cli loads no scipy.sparse
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -507,8 +566,8 @@ def solve_spectrum(pencil: MixedPencil, k: int) -> SpectrumResult:
 
     The k smallest eigenpairs by ``_lowest``, whatever the sign of alpha:
     in closed form at alpha = 0, by shift-invert Lanczos on the Toeplitz
-    pencil at large n, and otherwise from the standard matrix E_alpha,
-    mapped back by S D.  gamma = gamma_shift(pencil) is computed alongside
+    pencil at large n, and otherwise from the two parity blocks of the
+    standard matrix E_alpha, mapped back by S D.  gamma = gamma_shift(pencil) is computed alongside
     and reported; ``solver`` records both routes.  Eigenvectors are returned
     M-orthonormal with the sign fixed so the entry of largest magnitude is
     positive.  Residuals ||A_alpha u - lambda M u|| use ``_pencil_times``

@@ -690,6 +690,16 @@ class TestCliKfunc:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--p", "0"), ("--p", "2,0.5"), ("--s", "1.5"), ("--s", "0.5,0"), ("--p", "abc"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_refused_order_writes_no_curve(self, tmp_path, capsys, flag, value, fmt):
+        code = main(["kfunc", "--n", "3", flag, value, "--format", fmt, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(tokens=st.lists(

@@ -96,16 +96,17 @@ class TestPencilAssembly:
             assert np.array_equal(form.data, explicit) and not form.data.flags.writeable
 
     def test_spectrum_path_keeps_no_dense_form(self):
-        """Solve and contract peak at B plus one transient n x n array.
+        """Solve and contract peak at two transient n x n arrays, in B's build.
 
-        The pencil holds columns only, so B, built on the first solve, is
-        the one dense array that outlives its reader.  A dense A_alpha, M or
-        certificate buffer kept for the request would add a whole n^2.  No
-        solve, sweep or threshold leaves a dense form on the pencil.
-        Measured at n = 255: 2.18 n^2 doubles at alpha = -3 and 2 (the dense
-        eigensolve's copy of E_alpha beside B; the certificate's half-size
-        blocks beside B stay below it), 0.10 n^2 at alpha = 0, where nothing
-        n x n is built; the bounds add 0.07 and 0.05 n^2.
+        The pencil holds columns only, so B's two half-size blocks, built on
+        the first solve, are the one dense state that outlives its reader.
+        A dense A_alpha, M or certificate buffer kept for the request would
+        add a whole n^2.  No solve, sweep or threshold leaves a dense form on
+        the pencil.  Measured at n = 255: 2.01 n^2 doubles at alpha = -3 and
+        2 (the dense A_frac and A_frac S while the blocks are built; the
+        blocks' eigensolves and the certificate's half-size blocks stay below
+        it), 0.10 n^2 at alpha = 0, where nothing n x n is built; the bounds
+        add 0.24 and 0.05 n^2.
         """
         n = 255
         for alpha in (-3.0, 0.0, 2.0):
@@ -319,7 +320,11 @@ class TestSineBasis:
         np.testing.assert_allclose(local, pencil.a_loc.data, atol=1e-12 * n)
         dense_b = basis.scale[:, None] * (s_mat @ pencil.a_frac.data @ s_mat) * basis.scale
         scale = np.max(np.abs(dense_b))
-        np.testing.assert_allclose(basis.fractional, dense_b, rtol=0, atol=1e-13 * scale)
+        # the split rests on this: B couples no even sine mode with an odd one
+        np.testing.assert_allclose(dense_b[0::2, 1::2], 0.0, rtol=0, atol=1e-13 * scale)
+        even, odd = basis.fractional
+        np.testing.assert_allclose(even, dense_b[0::2, 0::2], rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(odd, dense_b[1::2, 1::2], rtol=0, atol=1e-13 * scale)
 
     def test_with_alpha_shares_b(self):
         base = assemble_pencil(build_mesh(0.0, 1.0, 31), 0.5, 0.0)
@@ -329,10 +334,13 @@ class TestSineBasis:
         _toeplitz.definite(coupled.column)
         assert "fractional" not in base.basis.__dict__
         solve_spectrum(coupled, 2)
-        b_mat = base.basis.fractional
-        assert coupled.basis.fractional is b_mat
-        assert base.with_alpha(7.0).basis.fractional is b_mat
-        assert not b_mat.flags.writeable
+        blocks = base.basis.fractional
+        assert coupled.basis.fractional is blocks
+        assert base.with_alpha(7.0).basis.fractional is blocks
+        # the even and the odd block, read-only; no full B is kept beside them
+        assert [block.shape for block in blocks] == [(16, 16), (15, 15)]
+        assert not any(block.flags.writeable for block in blocks)
+        assert all(block.base is None for block in blocks)
 
     @pytest.mark.parametrize("n, k", [(63, 63), (511, 40)])
     def test_alpha_zero_closed_form(self, n, k):
@@ -342,6 +350,65 @@ class TestSineBasis:
         theta = np.arange(1, k + 1) * math.pi / (n + 1)
         exact = 12.0 * np.sin(0.5 * theta) ** 2 / (h**2 * (2.0 + np.cos(theta)))
         np.testing.assert_allclose(res.lambdas, exact, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        s=st.floats(min_value=0.01, max_value=0.99),
+        alpha=st.one_of(st.floats(min_value=1e-6, max_value=1e3),
+                        st.floats(min_value=-1e3, max_value=-1e-6)),
+        diagonal=st.sampled_from([1.0, 0.5]),
+        data=st.data(),
+    )
+    @example(n=1, s=0.5, alpha=-3.0, diagonal=1.0, data=None)
+    @example(n=160, s=0.87, alpha=-0.3, diagonal=0.5, data=None)
+    def test_split_matches_full_dense_solve(self, n, s, alpha, diagonal, data):
+        """The two parity blocks against one eigensolve of the full E.
+
+        E = diagonal diag(l/m) + alpha B comes from the dense DST matrix, so
+        it carries no parity split.  The values must agree within the
+        certificate's margin of the same pencil (gamma's excess at diagonal
+        0.5): over 1000 draws of n in 1..200, k in 1..n and |alpha| in
+        [1e-6, 1e3] they differed by at most 0.51 margin, at k near n.  C_h
+        and C_B must agree within 1e-12 relative: over 800 draws they
+        differed by at most 2.6e-13, near s = 1, where the dense transform's
+        rounding of B dominates.
+        """
+        k = n if data is None else data.draw(st.integers(min_value=1, max_value=n))
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, n), s, alpha)
+        basis, s_mat = pencil.basis, _dst_matrix(n)
+        dense_b = basis.scale[:, None] * (s_mat @ pencil.a_frac.data @ s_mat) * basis.scale
+        full = scipy.linalg.eigh(np.diag(diagonal * basis.ratio) + alpha * dense_b,
+                                 eigvals_only=True)[:k]
+        column = diagonal * pencil.a_loc.column + alpha * pencil.a_frac.column
+        lambdas, vectors, route = spectral._lowest(pencil, k, diagonal, column, vectors=True)
+        assert route["route"] == "dense"
+        margin = spectral._margin(dataclasses.replace(pencil, column=column), lambdas)
+        assert np.all(np.abs(lambdas - full) <= margin)
+        mass = pencil.mass.data
+        assert np.max(np.abs(vectors.T @ mass @ vectors - np.eye(k))) <= 1e-10
+        # the same request gives the same bits, tie order included
+        again = spectral._lowest(pencil, k, diagonal, column, vectors=True)
+        assert np.array_equal(again[0], lambdas) and np.array_equal(again[1], vectors)
+        values = spectral._lowest(pencil, k, diagonal, column, vectors=False)[0]
+        assert np.all(np.abs(values - full) <= margin)
+        for weight in (basis.weight, (1.0 + basis.ratio) ** (-0.5 * s)):
+            top = scipy.linalg.eigh(weight[:, None] * dense_b * weight, eigvals_only=True)[-1]
+            assert basis.top(weight) == pytest.approx(top, rel=1e-12, abs=0.0)
+
+    def test_exact_tie_takes_the_even_block_first(self, monkeypatch):
+        # blocks with eigenvalue 1 in both: the merged order is even, odd, then 2
+        pencil = assemble_pencil(build_mesh(0.0, 1.0, 4), 0.5, -1.0)
+        blocks = (np.diag([1.0, 3.0]), np.diag([1.0, 2.0]))
+        monkeypatch.setattr(pencil.basis, "coupled",
+                            lambda alpha, diagonal: (block.copy() for block in blocks))
+        lambdas, vectors, _ = spectral._lowest(pencil, 3, 1.0, pencil.column, vectors=True)
+        assert np.array_equal(lambdas, [1.0, 1.0, 2.0])
+        # sine modes 1, 2 and 4: indices 0 (even), 1 and 3 (odd)
+        expected = pencil.basis.vectors(np.eye(4)[:, [0, 1, 3]])
+        assert np.allclose(np.abs(vectors), np.abs(expected), rtol=0, atol=1e-15)
+        values = spectral._lowest(pencil, 3, 1.0, pencil.column, vectors=False)[0]
+        assert np.array_equal(values, lambdas)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -427,7 +494,7 @@ class TestShiftInvert:
         """The shift-invert route peaks at one transient n x n array.
 
         Measured 1.28 n^2 doubles at n = 255 (alpha = -3 and 2), against
-        2.29 n^2 on the dense route: the certificate's shifted matrices are
+        2.01 n^2 on the dense route: the certificate's shifted matrices are
         built one at a time and dropped, the solve builds none (see
         ``test_solve_holds_no_n_by_n_array``) and no B is built, which would
         add a whole n^2.  The bound is 1.5 n^2, within the dense route's
