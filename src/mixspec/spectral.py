@@ -89,6 +89,7 @@ larger of its two blocks' top eigenvalues.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -207,7 +208,7 @@ class SineBasis:
             blocks.append(block)
         return tuple(blocks)
 
-    def coupled(self, alpha: float, diagonal: float = 1.0):
+    def coupled(self, alpha: float, diagonal: float = 1.0) -> Iterator[np.ndarray]:
         """New arrays diagonal * diag(l/m) + alpha B, one per block of ``fractional``.
 
         With ``diagonal`` 1 they are the blocks of E_alpha, whose eigenvalues
