@@ -247,19 +247,38 @@ def gagliardo_seminorm(u: DiscreteFunction, a_frac: OperatorMatrix) -> float:
 # Weighted Lebesgue norms and the interpolation inequality
 # ----------------------------------------------------------------------------
 
-def lp_norm(samples, weights, p: float) -> float:
-    """Weighted discrete p-norm (sum_i w_i |f_i|^p)^(1/p); max |f_i| for p = inf."""
+def lp_norm(samples, weights, p):
+    """Weighted discrete p-norm (sum_i w_i |f_i|^p)^(1/p); max |f_i| for p = inf.
+
+    With a lane axis, samples and weights are (lanes, size) arrays, p is one
+    exponent or one per lane, and the result holds one norm per lane, each
+    equal bit for bit to the one-lane call on that lane's row.
+    """
     f = np.asarray(samples, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if f.shape != w.shape or f.ndim != 1:
-        raise DimensionError(f"samples {f.shape} and weights {w.shape} must be equal-length vectors")
+    if f.shape != w.shape or f.ndim not in (1, 2):
+        raise DimensionError(f"samples {f.shape} and weights {w.shape} must be equal-length "
+                             "vectors or equal (lanes, size) arrays")
     if np.any(w <= 0.0):
         raise MeasureError("weights must be strictly positive")
-    if p != math.inf and p < 1.0:
+    exps = _per_lane(p, f.shape[:-1])
+    if np.any(exps < 1.0):
         raise ParameterError(f"p must lie in [1, inf], got {p}")
-    if p == math.inf:
-        return float(np.max(np.abs(f))) if f.size else 0.0
-    return float(np.sum(w * np.abs(f) ** p) ** (1.0 / p))
+    f, w, exps = np.abs(np.atleast_2d(f)), np.atleast_2d(w), exps.reshape(-1)
+    finite = np.where(exps == math.inf, 1.0, exps)
+    # full exponent arrays: numpy squares (and takes other shortcuts) where one
+    # exponent is broadcast as a scalar, so a one-lane call would not give its lane's bits
+    sums = np.sum(w * np.power(f, np.repeat(finite[:, None], f.shape[1], axis=1)), axis=1)
+    norms = np.where(exps == math.inf, np.max(f, axis=1, initial=0.0), np.power(sums, 1.0 / finite))
+    return float(norms[0]) if np.ndim(samples) == 1 else norms
+
+
+def _per_lane(exponent, lanes):
+    """An exponent as one value per lane: a read-only array of shape ``lanes``."""
+    exponent = np.asarray(exponent, dtype=float)
+    if exponent.shape not in ((), lanes):
+        raise DimensionError(f"exponents {exponent.shape} must be one value or one per lane {lanes}")
+    return np.broadcast_to(exponent, lanes)
 
 
 def nodal_weights(mesh: Mesh1D) -> np.ndarray:
@@ -271,25 +290,36 @@ def nodal_weights(mesh: Mesh1D) -> np.ndarray:
     return np.full(mesh.n, mesh.h)
 
 
-def check_lebesgue_interpolation(samples, weights, p: float, q: float, r: float) -> Report:
+def check_lebesgue_interpolation(samples, weights, p, q, r) -> Report:
     """Check ||f||_r <= ||f||_q^(1-s) * ||f||_p^s with 1/r = (1-s)/q + s/p.
 
     Requires 1 <= p <= r <= q <= inf.  The intermediate exponent s is solved
     from the defining relation; when p == q (all three norms coincide) s is
     arbitrary and reported as 1/2.  ``inputs`` holds p, q, r and s.
+
+    With a lane axis, samples and weights are (lanes, size) arrays, p, q and r
+    are one exponent each or one per lane, and ``inputs``, lhs, rhs, ratio and
+    holds are arrays over the lanes, each lane equal to the one-lane call's.
     """
+    f, w = np.asarray(samples, dtype=float), np.asarray(weights, dtype=float)
+    p, q, r = (_per_lane(e, f.shape[:-1]) for e in (p, q, r))
     for name, val in (("p", p), ("q", q), ("r", r)):
-        if val != math.inf and val < 1.0:
+        if np.any(val < 1.0):
             raise ParameterError(f"{name} must lie in [1, inf], got {val}")
-    if not (p <= r <= q):
+    if not np.all((p <= r) & (r <= q)):
         raise OrderingError(f"need p <= r <= q, got p={p}, r={r}, q={q}")
-    inv = lambda e: 0.0 if e == math.inf else 1.0 / e
-    if p == q:
-        s = 0.5
-    else:
-        s = (inv(r) - inv(q)) / (inv(p) - inv(q))
-    lhs = lp_norm(samples, weights, r)
-    rhs = lp_norm(samples, weights, q) ** (1.0 - s) * lp_norm(samples, weights, p) ** s
+    single = f.ndim == 1
+    if single:  # one lane, so that the call computes as a lane of a batch does
+        f, w, p, q, r = f[None], w[None], p[None], q[None], r[None]
+    same = p == q
+    # 1/inf = 0 exactly
+    s = np.where(same, 0.5, (1.0 / r - 1.0 / q) / np.where(same, 1.0, 1.0 / p - 1.0 / q))
+    lhs = lp_norm(f, w, r)
+    rhs = np.power(lp_norm(f, w, q), 1.0 - s) * np.power(lp_norm(f, w, p), s)
+    ratio = np.divide(lhs, rhs, out=np.full(lhs.shape, math.inf), where=rhs > 0.0)
+    holds = lhs <= rhs * (1.0 + 1e-12)
+    if single:
+        p, q, r, s, lhs, rhs, ratio = (float(v[0]) for v in (p, q, r, s, lhs, rhs, ratio))
+        holds = bool(holds[0])
     return Report(op="lebesgue_interpolation", inputs={"p": p, "q": q, "r": r, "s": s},
-                  lhs=lhs, rhs=rhs, ratio=lhs / rhs if rhs > 0.0 else math.inf,
-                  holds=lhs <= rhs * (1.0 + 1e-12), tolerance=1e-12)
+                  lhs=lhs, rhs=rhs, ratio=ratio, holds=holds, tolerance=1e-12)

@@ -5,7 +5,9 @@ the fractional form is integrated as an honest two-dimensional integral,
 cell pair by cell pair, with graded dyadic refinement toward the kernel
 singularity; the K-functional is minimized by zooming grid search over raw
 decompositions; operator norms come from power iteration.  They are slow
-and exist only to cross-check the fast paths.
+and exist only to cross-check the fast paths.  The dyadic levels of a cell
+pair go through chunked array passes, and their values are added in level
+order, so every sum is the one a level-by-level loop forms.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ __all__ = [
     "operator_norm_power_iteration",
 ]
 
+# dyadic levels per array pass of the singular cells
+_LEVEL_CHUNK = 64
+
 
 def _cell_values(mesh, coeffs):
     """Left/right nodal values of a P1 function on every mesh cell."""
@@ -31,13 +36,43 @@ def _cell_values(mesh, coeffs):
 
 
 def _tensor_gauss(fxy, x0, x1, y0, y1, nodes, weights):
-    """Tensor Gauss-Legendre approximation of iint fxy over a rectangle."""
+    """Tensor Gauss-Legendre approximation of iint fxy over a rectangle.
+
+    The corners may also be arrays of one shape, one rectangle per entry;
+    each rectangle then gets the one-rectangle rule's value bit for bit,
+    because it keeps its own product with the weights and its own dot.
+    """
+    x0, x1, y0, y1 = (np.asarray(c, dtype=float)[..., None] for c in (x0, x1, y0, y1))
     xm, xr = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
     ym, yr = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
     gx = xm + xr * nodes
     gy = ym + yr * nodes
-    vals = fxy(gx[:, None], gy[None, :])
-    return xr * yr * float(weights @ vals @ weights)
+    vals = fxy(gx[..., :, None], gy[..., None, :])
+    out = xr[..., 0] * yr[..., 0] * _dots(weights @ vals, weights)
+    return float(out) if out.ndim == 0 else out
+
+
+def _dots(a, b):
+    """a[..., :] . b[..., :] for every leading index, each as numpy's 1-D a @ b forms it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _levels(h, depth):
+    """Widths h 2^-l of the dyadic levels l = 0 .. depth - 1, in chunks of _LEVEL_CHUNK.
+
+    Each width is exact (depth stops before subnormals), so a chunk holds the
+    bits that halving level by level gives; the chunks bound the arrays of a
+    pass at s near 1, where depth reaches about 1021.
+    """
+    for start in range(0, depth, _LEVEL_CHUNK):
+        yield np.ldexp(h, -np.arange(start, min(start + _LEVEL_CHUNK, depth)))
+
+
+def _add_in_order(total, values):
+    """total + values[0] + values[1] + ..., added one at a time in C order."""
+    for value in np.ravel(values).tolist():
+        total += value
+    return total
 
 
 def gagliardo_form_quadrature(mesh, u_coeffs, v_coeffs, s, *, n_gauss=16, depth=None):
@@ -50,12 +85,14 @@ def gagliardo_form_quadrature(mesh, u_coeffs, v_coeffs, s, *, n_gauss=16, depth=
 
     Cell pairs touching the diagonal are covered by a dyadic sequence of
     bands (squares, for corner contact) shrinking geometrically toward the
-    singular set, each integrated with tensor Gauss.  The truncated sliver
-    is about 2^(-depth (2-2s)) of the result, below ~1e-11 at the default
-    depth.  The depth is capped where the smallest band, h 2^-depth, would
-    stop being a normal float (about 1020 levels for h near 1), so past
-    s ~ 0.98 the sliver grows: at n = 3 the result is off by 6e-10 at
-    s = 0.985, 7e-7 at s = 0.99 and 9e-4 at s = 0.995.
+    singular set, each integrated with tensor Gauss.  The levels of a cell
+    pair are evaluated _LEVEL_CHUNK at a time in one array pass, and their
+    values are added in level order, as a level-by-level loop adds them.
+    The truncated sliver is about 2^(-depth (2-2s)) of the result, below
+    ~1e-11 at the default depth.  The depth is capped where the smallest
+    band, h 2^-depth, would stop being a normal float (about 1020 levels for
+    h near 1), so past s ~ 0.98 the sliver grows: at n = 3 the result is off
+    by 6e-10 at s = 0.985, 7e-7 at s = 0.99 and 9e-4 at s = 0.995.
     """
     a, b, h, n = mesh.a, mesh.b, mesh.h, mesh.n
     if depth is None:
@@ -122,15 +159,13 @@ def _diagonal_cell(su, sv, h, s, depth, nodes, weights):
     nodes01 = 0.5 * (nodes + 1.0)
     w01 = 0.5 * weights
     total = 0.0
-    hi = h
-    for _ in range(depth):
+    for hi in _levels(h, depth):
         lo = 0.5 * hi
-        t = lo + (hi - lo) * nodes01
+        t = lo[:, None] + (hi - lo)[:, None] * nodes01
         span = h - t
         vals = su * sv * t ** (1.0 - 2.0 * s) * span
         # the eta direction integrates a constant profile to exactly 1
-        total += (hi - lo) * float(w01 @ vals)
-        hi = lo
+        total = _add_in_order(total, (hi - lo) * _dots(w01, vals))
     return 2.0 * total
 
 
@@ -141,7 +176,8 @@ def _corner_cells(su_pair, sv_pair, h, s, depth, nodes, weights):
     keep |x - y| = dy - dx exact near the singular corner; continuity of the
     P1 functions makes the differences slope_left*dx - slope_right*dy.
     Quadtree refinement: at every level the quadrant containing the corner
-    splits again and the other three quadrants are integrated directly.
+    splits again and the other three quadrants are integrated directly; the
+    quadrants of a chunk of levels go through ``_tensor_gauss`` together.
     """
     su_l, su_r = su_pair
     sv_l, sv_r = sv_pair
@@ -151,17 +187,16 @@ def _corner_cells(su_pair, sv_pair, h, s, depth, nodes, weights):
         return (su_l * dx - su_r * dy) / r * ((sv_l * dx - sv_r * dy) / r) * r ** (1.0 - 2.0 * s)
 
     total = 0.0
-    w = h
-    for _ in range(depth):
+    for w in _levels(h, depth):
         half = 0.5 * w
-        quads = [
-            (-w, -half, 0.0, half),
-            (-w, -half, half, w),
-            (-half, 0.0, half, w),
-        ]
-        for qx0, qx1, qy0, qy1 in quads:
-            total += _tensor_gauss(local, qx0, qx1, qy0, qy1, nodes, weights)
-        w = half
+        zero = np.zeros_like(w)
+        # per level, the quadrants (-w, -half) x (0, half), (-w, -half) x (half, w)
+        # and (-half, 0) x (half, w), as columns
+        values = _tensor_gauss(local, np.stack([-w, -w, -half], axis=-1),
+                               np.stack([-half, -half, zero], axis=-1),
+                               np.stack([zero, half, half], axis=-1),
+                               np.stack([half, w, w], axis=-1), nodes, weights)
+        total = _add_in_order(total, values)
     return total
 
 

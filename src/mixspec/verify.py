@@ -3,8 +3,11 @@
 Every suite re-checks the documented contracts of one area at sizes small
 enough to finish in seconds (n <= 64 meshes, couples of dimension <= 10),
 drawing all randomness from a seeded generator so reruns are
-byte-reproducible.  A suite stops at its first counterexample and
-serializes it.
+byte-reproducible.  A loop over drawn cases makes its generator calls first,
+in the order a case-by-case loop makes them, and then checks the cases in
+batches: the random Grams of one dimension come from one stacked build, and
+lane calls take many cases at once.  A suite reports its first
+counterexample in draw order and serializes it.
 """
 
 from __future__ import annotations
@@ -29,10 +32,32 @@ def _result(name, details, counterexample=None):
     }
 
 
+def _spd_draw(dim, rng, spread=10.0):
+    """The generator calls of one random SPD Gram: a normal dim x dim matrix, then its eigenvalues."""
+    return (rng.standard_normal((dim, dim)),
+            np.exp(rng.uniform(-math.log(spread), math.log(spread), dim)))
+
+
+def _spd_grams(draws):
+    """The Grams q diag(vals) q^T of ``_spd_draw`` draws, in draw order.
+
+    The draws of one dimension share one stacked QR and one stacked product.
+    Each Gram equals the one-matrix QR and product bit for bit, which
+    ``tests/test_verify.py`` holds as a property.
+    """
+    dims = np.array([vals.size for _, vals in draws])
+    grams = [None] * len(draws)
+    for dim in np.unique(dims):
+        idx = np.flatnonzero(dims == dim)
+        q, _ = np.linalg.qr(np.stack([draws[i][0] for i in idx]))
+        vals = np.stack([draws[i][1] for i in idx])
+        for i, gram in zip(idx, (q * vals[:, None, :]) @ np.swapaxes(q, -1, -2)):
+            grams[i] = gram
+    return grams
+
+
 def _random_spd(dim, rng, spread=10.0):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    vals = np.exp(rng.uniform(-math.log(spread), math.log(spread), dim))
-    return q @ np.diag(vals) @ q.T
+    return _spd_grams([_spd_draw(dim, rng, spread)])[0]
 
 
 # ----------------------------------------------------------------------------
@@ -110,19 +135,31 @@ def suite_fem_oracle(rng):
 
 def suite_lebesgue(rng):
     name = "lebesgue"
-    exps = [1.0, 1.5, 2.0, 3.0, 4.0, 8.0, math.inf]
-    checked = 0
+    exps = np.array([1.0, 1.5, 2.0, 3.0, 4.0, 8.0, math.inf])
+    # the cases of one size go through one lane call
+    sizes, fs, ws, exponents = [], [], [], []
     for _ in range(1000):
         size = int(rng.integers(2, 12))
-        f = np.abs(rng.standard_normal(size)) * np.exp(rng.uniform(-2, 2))
-        w = np.exp(rng.uniform(-2.0, 2.0, size))
-        p, q = sorted(rng.choice(exps, size=2, replace=True))
+        sizes.append(size)
+        fs.append(np.abs(rng.standard_normal(size)) * np.exp(rng.uniform(-2, 2)))
+        ws.append(np.exp(rng.uniform(-2.0, 2.0, size)))
+        # the draw rng.choice(exps, size=2, replace=True) makes, without its overhead
+        p, q = sorted(exps[rng.integers(0, 7, size=2)])
         r = p if p == q else float(np.clip(np.exp(rng.uniform(np.log(p), np.log(min(q, 64.0)))), p, q))
-        rep = fem.check_lebesgue_interpolation(f, w, p, q, r)
-        checked += 1
-        if not rep.holds:
-            return _result(name, {"checked": checked},
-                           {"p": p, "q": q, "r": r, "lhs": rep.lhs, "rhs": rep.rhs})
+        exponents.append((p, q, r))
+    sizes, exponents = np.array(sizes), np.array(exponents)
+    holds, lhs, rhs = np.empty(len(sizes), dtype=bool), np.empty(len(sizes)), np.empty(len(sizes))
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        rep = fem.check_lebesgue_interpolation(np.stack([fs[i] for i in group]),
+                                               np.stack([ws[i] for i in group]), *exponents[group].T)
+        holds[group], lhs[group], rhs[group] = rep.holds, rep.lhs, rep.rhs
+    if not holds.all():
+        i = int(np.flatnonzero(~holds)[0])  # the first failing case in draw order
+        p, q, r = exponents[i].tolist()
+        return _result(name, {"checked": i + 1},
+                       {"p": p, "q": q, "r": r, "lhs": float(lhs[i]), "rhs": float(rhs[i])})
+    checked = len(sizes)
     # equality cases: constants on unit mass, indicators of sub-blocks
     w = np.full(4, 0.25)
     rep = fem.check_lebesgue_interpolation(np.full(4, 3.7), w, 1.0, 4.0, 2.0)
@@ -143,10 +180,14 @@ def suite_k_functional(rng):
     name = "k_functional"
     details = {"curves": 0, "samples": 0}
     xs_grid = np.geomspace(1e-6, 1e6, 64)
+    draws, fs = [], []
     for _ in range(12):
         dim = int(rng.integers(2, 9))
-        couple = interpolation.couple_from_grams(_random_spd(dim, rng), _random_spd(dim, rng))
-        f = rng.standard_normal(dim)
+        draws += [_spd_draw(dim, rng), _spd_draw(dim, rng)]
+        fs.append(rng.standard_normal(dim))
+    grams = _spd_grams(draws)
+    for g_x, g_y, f in zip(grams[0::2], grams[1::2], fs):
+        couple = interpolation.couple_from_grams(g_x, g_y)
         ks = interpolation.k_functional_samples(couple, f, xs_grid)
         bound = np.minimum(couple.norm_x(f), xs_grid * couple.norm_y(f))
         if np.any(np.diff(ks) < -1e-9 * ks[1:]):
@@ -160,24 +201,24 @@ def suite_k_functional(rng):
         if np.any(k2s > ks * (1 + 1e-9)) or np.any(ks > math.sqrt(2.0) * k2s + 1e-9 * np.max(ks)):
             return _result(name, details, {"check": "bracketing on curve"})
         details["curves"] += 1
-    # every case is drawn first, in the order a case-by-case loop draws it;
-    # the cases then run as the lanes of one couple, grouped by dimension,
-    # and lanes[j] is the case on lane j
-    cases = []
+    # the samples run as the lanes of one couple, grouped by dimension, and
+    # lanes[j] is the case on lane j
+    cases, draws = [], []
     for _ in range(1000):
         dim = int(rng.integers(1, 7))
-        cases.append((dim, _random_spd(dim, rng), _random_spd(dim, rng), rng.standard_normal(dim),
-                       float(np.exp(rng.uniform(-6.0, 6.0)))))
+        draws += [_spd_draw(dim, rng), _spd_draw(dim, rng)]
+        cases.append((dim, rng.standard_normal(dim), float(np.exp(rng.uniform(-6.0, 6.0)))))
+    grams = _spd_grams(draws)
     dims = np.array([case[0] for case in cases])
     groups = [np.flatnonzero(dims == dim) for dim in np.unique(dims)]
     lanes = np.concatenate(groups)
     couple = interpolation.stack_couples([
-        interpolation.couple_from_grams([cases[i][1] for i in group], [cases[i][2] for i in group])
+        interpolation.couple_from_grams([grams[2 * i] for i in group], [grams[2 * i + 1] for i in group])
         for group in groups])
     f = np.zeros(couple.mu.shape)
     for lane, i in enumerate(lanes):
-        f[lane, :dims[i]] = cases[i][3]
-    x = np.array([cases[i][4] for i in lanes])
+        f[lane, :dims[i]] = cases[i][1]
+    x = np.array([cases[i][2] for i in lanes])
     k = interpolation.k_functional(couple, f, x)
     k2 = interpolation.k2_functional(couple, f, x)
     rep = interpolation.symmetry_check(couple, f, x)
@@ -200,11 +241,14 @@ def suite_interpolation_norms(rng):
     name = "interpolation_norms"
     details = {}
     worst_closed = 0.0
+    draws, cases = [], []
     for _ in range(100):
         dim = int(rng.integers(2, 9))
-        couple = interpolation.couple_from_grams(_random_spd(dim, rng), _random_spd(dim, rng))
-        f = rng.standard_normal(dim)
-        s = float(rng.choice([0.25, 0.5, 0.75]))
+        draws += [_spd_draw(dim, rng), _spd_draw(dim, rng)]
+        cases.append((rng.standard_normal(dim), float(rng.choice([0.25, 0.5, 0.75]))))
+    grams = _spd_grams(draws)
+    for g_x, g_y, (f, s) in zip(grams[0::2], grams[1::2], cases):
+        couple = interpolation.couple_from_grams(g_x, g_y)
         got = interpolation.interpolation_norm(couple, f, s, 2, "K2")
         ref = interpolation.spectral_s_norm(couple, f, s)
         worst_closed = max(worst_closed, abs(got - ref) / ref)
@@ -213,11 +257,14 @@ def suite_interpolation_norms(rng):
         return _result(name, details, {"check": "closed form", "rel": worst_closed})
 
     worst_sym = 0.0
+    draws, fs = [], []
     for _ in range(3):
-        dim = 5
-        couple = interpolation.couple_from_grams(_random_spd(dim, rng), _random_spd(dim, rng))
+        draws += [_spd_draw(5, rng), _spd_draw(5, rng)]
+        fs.append(rng.standard_normal(5))
+    grams = _spd_grams(draws)
+    for g_x, g_y, f in zip(grams[0::2], grams[1::2], fs):
+        couple = interpolation.couple_from_grams(g_x, g_y)
         swapped = couple.swapped()
-        f = rng.standard_normal(dim)
         for s in (0.25, 0.5, 0.75):
             for p in (1.0, 2.0, math.inf):
                 a = interpolation.interpolation_norm(couple, f, s, p, "K")
@@ -236,15 +283,19 @@ def suite_interpolation_norms(rng):
     if hom > 1e-12:
         return _result(name, details, {"check": "homogeneity", "rel": hom})
 
-    for _ in range(1000):
+    # sum mu^s c^2 is nondecreasing in s for mu >= 1: 1000 cases, drawn in
+    # turn and compared as one array, each padded to 7 modes by mu = 1, c = 0
+    mu, c2, orders = np.ones((1000, 7)), np.zeros((1000, 7)), np.empty((1000, 2))
+    for i in range(1000):
         dim = int(rng.integers(1, 8))
-        mu = np.exp(rng.uniform(0.0, math.log(100.0), dim))
-        c2 = rng.standard_normal(dim) ** 2
-        s1, s2 = sorted(rng.uniform(0.05, 0.95, 2))
-        if s1 == s2:
-            continue
-        if np.sum(mu**s1 * c2) > np.sum(mu**s2 * c2) * (1 + 1e-12):
-            return _result(name, details, {"check": "inclusion domination", "s1": s1, "s2": s2})
+        mu[i, :dim] = np.exp(rng.uniform(0.0, math.log(100.0), dim))
+        c2[i, :dim] = rng.standard_normal(dim) ** 2
+        orders[i] = np.sort(rng.uniform(0.05, 0.95, 2))
+    low, high = (np.sum(mu ** orders[:, [j]] * c2, axis=1) for j in (0, 1))
+    failed = (orders[:, 0] != orders[:, 1]) & (low > high * (1 + 1e-12))
+    if failed.any():
+        s1, s2 = orders[np.argmax(failed)].tolist()
+        return _result(name, details, {"check": "inclusion domination", "s1": s1, "s2": s2})
     couple = interpolation.couple_from_grams(np.eye(4), np.diag([1.0, 4.0, 25.0, 81.0]))
     rep = interpolation.check_inclusion_monotonicity(couple, rng.standard_normal(4), 0.2, 0.8, 2)
     if not rep.holds:
@@ -256,12 +307,15 @@ def suite_operator_interpolation(rng):
     name = "operator_interpolation"
     details = {"cases": 0}
     worst = 0.0
+    draws, cases = [], []
     for _ in range(100):
         dim = int(rng.integers(2, 11))
-        c0 = interpolation.couple_from_grams(_random_spd(dim, rng), _random_spd(dim, rng))
-        c1 = interpolation.couple_from_grams(_random_spd(dim, rng), _random_spd(dim, rng))
-        t_mat = rng.standard_normal((dim, dim))
-        s = float(rng.uniform(0.05, 0.95))
+        draws += [_spd_draw(dim, rng) for _ in range(4)]
+        cases.append((rng.standard_normal((dim, dim)), float(rng.uniform(0.05, 0.95))))
+    grams = _spd_grams(draws)
+    for i, (t_mat, s) in enumerate(cases):
+        c0 = interpolation.couple_from_grams(grams[4 * i], grams[4 * i + 1])
+        c1 = interpolation.couple_from_grams(grams[4 * i + 2], grams[4 * i + 3])
         rep = interpolation.check_operator_interpolation(t_mat, c0, c1, s, 2, "K2")
         worst = max(worst, rep.ratio)
         details["cases"] += 1

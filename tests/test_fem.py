@@ -185,6 +185,33 @@ class TestFractionalStiffness:
         fast = assemble_fractional_stiffness(mesh, 0.95).data
         np.testing.assert_allclose(slow, fast, rtol=2e-11, atol=0)
 
+    # the upper triangles (row by row) of the reference quadrature as its
+    # level-by-level loop computed them; (3, 0.95) runs 370 levels, several chunks
+    QUADRATURE_PINS = [
+        ((4, 0.5), [5.545177444475926, -1.2028442909443193, -0.7338002806950114, -0.2521826017016917,
+                    5.545177444475925, -1.2028442909443178, -0.7338002806950115, 5.545177444475926,
+                    -1.202844290944322, 5.545177444475928]),
+        ((2, 0.75), [14.430035517830927, -5.434445193609028, 14.430035517830937]),
+        ((3, 0.25), [3.534622398917083, -0.041557045172927465, -0.44021714722698807,
+                     3.5346223989170635, -0.041557045172927354, 3.534622398917083]),
+        ((3, 0.05), [8.024590200246399, 1.5448275114603702, -0.30425104500928735,
+                     8.024590200246429, 1.5448275114603702, 8.024590200246399]),
+        ((3, 0.95), [137.47038980108158, -65.68910087637276, -2.317650224361954,
+                     137.47038980108164, -65.68910087637276, 137.4703898010816]),
+    ]
+
+    @pytest.mark.parametrize("n, s, pinned", [(n, s, vals) for (n, s), vals in QUADRATURE_PINS])
+    def test_reference_quadrature_pinned(self, n, s, pinned):
+        got = fractional_matrix_quadrature(build_mesh(0.0, 1.0, n), s)[np.triu_indices(n)]
+        pinned = np.array(pinned)
+        assert np.all(np.abs(got - pinned) <= 4 * np.finfo(float).eps * np.abs(pinned))
+
+    def test_reference_seminorm_pinned(self):
+        # fem_oracle's seminorm draw at seed 0
+        u = np.random.default_rng([0, 1]).standard_normal(4)
+        got = gagliardo_form_quadrature(build_mesh(0.0, 1.0, 4), u, u, 0.3)
+        assert abs(got - 7.618596664896236) <= 4 * np.finfo(float).eps * 7.618596664896236
+
     def test_parameter_domain(self):
         mesh = build_mesh(0.0, 1.0, 3)
         for s in (0.0, 1.0, -0.2, 1.7):
@@ -299,6 +326,33 @@ class TestLpNorm:
         with pytest.raises(DimensionError):
             lp_norm([1.0, 1.0], [1.0], 2.0)
 
+    def test_lanes_equal_one_lane_calls(self):
+        # numpy squares instead of calling pow for some layouts of an exponent of 2,
+        # so 2 is among the exponents, and the lanes are many enough to meet a
+        # sample where the two differ in the last bit
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((60, 11))
+        w = np.exp(rng.uniform(-1, 1, (60, 11)))
+        p = np.resize([1.0, 1.5, 2.0, 3.0, 8.0, math.inf], 60)
+        got = lp_norm(f, w, p)
+        assert got.shape == (60,)
+        assert all(got[i] == lp_norm(f[i], w[i], p[i]) for i in range(60))
+        assert np.array_equal(lp_norm(f, w, 2.0), [lp_norm(f[i], w[i], 2.0) for i in range(60)])
+        with pytest.raises(DimensionError):
+            lp_norm(f, w, p[:59])
+
+
+def _lebesgue_lanes(seed, lanes, size):
+    """Random lanes of the Lebesgue check: samples, weights and exponents 1 <= p <= r <= q <= inf."""
+    rng = np.random.default_rng(seed)
+    f = np.abs(rng.standard_normal((lanes, size))) * (rng.random((lanes, size)) < 0.8)
+    w = np.exp(rng.uniform(-2.0, 2.0, (lanes, size)))
+    pq = np.sort(np.array([1.0, 1.5, 2.0, 3.0, 4.0, 8.0, math.inf])[rng.integers(0, 7, (lanes, 2))])
+    p, q = pq[:, 0], pq[:, 1]
+    lo, hi = np.log(np.minimum(p, 64.0)), np.log(np.minimum(q, 64.0))
+    r = np.where(p == q, p, np.clip(np.exp(rng.uniform(lo, hi)), p, q))
+    return f, w, p, q, r
+
 
 class TestLebesgueInterpolation:
     def test_constant_equality(self):
@@ -353,3 +407,27 @@ class TestLebesgueInterpolation:
         u = DiscreteFunction(mesh, np.sin(math.pi * mesh.nodes))
         rep = check_lebesgue_interpolation(u.coeffs, w, 1.0, 4.0, 2.0)
         assert rep.holds
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 12), size=st.integers(1, 11))
+    def test_lanes_equal_one_lane_calls(self, seed, lanes, size):
+        f, w, p, q, r = _lebesgue_lanes(seed, lanes, size)
+        rep = check_lebesgue_interpolation(f, w, p, q, r)
+        for i in range(lanes):
+            one = check_lebesgue_interpolation(f[i], w[i], p[i], q[i], r[i])
+            assert (rep.lhs[i], rep.rhs[i], rep.holds[i]) == (one.lhs, one.rhs, one.holds)
+            assert (rep.ratio[i], rep.inputs["s"][i]) == (one.ratio, one.inputs["s"])
+
+    @pytest.mark.parametrize("bad", ["p below 1", "p above r", "weight zero", "weight negative"])
+    def test_any_bad_lane_raises(self, bad):
+        f, w, p, q, r = _lebesgue_lanes(4, 6, 5)
+        p, r, w = p.copy(), r.copy(), w.copy()
+        error = {"p below 1": ParameterError, "p above r": OrderingError}.get(bad, MeasureError)
+        if bad == "p below 1":
+            p[3] = 0.5
+        elif bad == "p above r":
+            p[3], r[3] = 4.0, 2.0
+        else:
+            w[3, 2] = 0.0 if bad == "weight zero" else -1.0
+        with pytest.raises(error):
+            check_lebesgue_interpolation(f, w, p, q, r)

@@ -2,8 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixspec import build_mesh, exchange, interpolation, spectral, verify
+from mixspec import build_mesh, exchange, fem, interpolation, spectral, verify
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.lists(st.integers(1, 10), min_size=1, max_size=16))
+def test_stacked_grams_equal_one_matrix_builds(seed, dims):
+    """One stacked QR and product per dimension give each Gram's bits and use the generator alike."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    grams = verify._spd_grams([verify._spd_draw(dim, rng) for dim in dims])
+    for dim, gram in zip(dims, grams):
+        q, _ = np.linalg.qr(ref.standard_normal((dim, dim)))
+        vals = np.exp(ref.uniform(-math.log(10.0), math.log(10.0), dim))
+        assert np.array_equal(gram, q @ np.diag(vals) @ q.T)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_exponent_draw_is_the_choice_draw():
+    # suite_lebesgue draws its two exponents by integers(0, 7, size=2), which
+    # numpy's choice(exps, size=2, replace=True) makes inside: same values, same state
+    exps = [1.0, 1.5, 2.0, 3.0, 4.0, 8.0, math.inf]
+    for seed in range(100):
+        a, b = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
+        for _ in range(50):
+            assert np.array_equal(a.choice(exps, size=2, replace=True),
+                                  np.array(exps)[b.integers(0, 7, size=2)])
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def _loop_k_samples(rng):
@@ -112,3 +139,64 @@ def test_subset_rows_equal_the_full_run():
         rows = verify.run_suites(0, names)["suites"]
         assert [row["name"] for row in rows] == names
         assert all(exchange.dumps_json(row) == full[row["name"]] for row in rows)
+
+
+def _lebesgue_cases(seed):
+    """The 1000 drawn cases of ``suite_lebesgue``, drawn as a case-by-case loop with ``choice``."""
+    rng = np.random.default_rng([seed, 2])
+    exps = [1.0, 1.5, 2.0, 3.0, 4.0, 8.0, math.inf]
+    cases = []
+    for _ in range(1000):
+        size = int(rng.integers(2, 12))
+        f = np.abs(rng.standard_normal(size)) * np.exp(rng.uniform(-2, 2))
+        w = np.exp(rng.uniform(-2.0, 2.0, size))
+        p, q = sorted(rng.choice(exps, size=2, replace=True))
+        r = p if p == q else float(np.clip(np.exp(rng.uniform(np.log(p), np.log(min(q, 64.0)))), p, q))
+        cases.append((f, w, p, q, r))
+    return cases
+
+
+def _loop_lebesgue(cases):
+    """The drawn part of ``suite_lebesgue`` as a case-by-case loop of one-lane checks."""
+    for checked, (f, w, p, q, r) in enumerate(cases, 1):
+        rep = fem.check_lebesgue_interpolation(f, w, p, q, r)
+        if not rep.holds:
+            return {"checked": checked}, {"p": p, "q": q, "r": r, "lhs": rep.lhs, "rhs": rep.rhs}
+    return {"checked": len(cases)}, None
+
+
+@pytest.mark.parametrize("wrong", [(23,), (613,), (613, 709)])
+def test_lebesgue_suite_reports_the_first_failing_case(monkeypatch, wrong):
+    """A checker wrong at the given cases only: the batch reports what the loop reported.
+
+    Case 709 has fewer samples than case 613, so its lane call runs first.
+    """
+    seed = 5
+    cases = _lebesgue_cases(seed)
+    j = wrong[0]
+    targets = [(cases[i][0], cases[i][4]) for i in wrong]
+    assert all(cases[i][2] < cases[i][4] < cases[i][3] for i in wrong)  # only lhs, the r-norm, goes wrong
+    lp_norm = fem.lp_norm
+
+    def wrong_at_cases(samples, weights, p):
+        out = lp_norm(samples, weights, p)
+        rows = np.asarray(samples)
+        for f_i, r_i in targets:
+            if rows.shape[-1] == f_i.size:
+                out = np.where(np.all(rows == f_i, axis=-1) & (np.asarray(p) == r_i), 4.0 * out, out)
+        return out
+
+    monkeypatch.setattr(fem, "lp_norm", wrong_at_cases)
+    batched = verify.suite_lebesgue(np.random.default_rng([seed, 2]))
+    details, counterexample = _loop_lebesgue(cases)
+
+    assert not batched["passed"]
+    assert batched["details"] == details == {"checked": j + 1}
+    assert batched["counterexample"] == counterexample
+    assert counterexample["r"] == cases[j][4] and counterexample["lhs"] > counterexample["rhs"]
+
+
+def test_lebesgue_suite_passes_as_the_loop_does():
+    batched = verify.suite_lebesgue(np.random.default_rng([0, 2]))
+    assert batched["passed"] and batched["details"] == {"checked": 1000}
+    assert _loop_lebesgue(_lebesgue_cases(0)) == ({"checked": 1000}, None)
