@@ -34,11 +34,9 @@ from .fem import (
     check_lebesgue_interpolation,
     gagliardo_seminorm,
     lp_norm,
-    nodal_weights,
 )
 from .interpolation import (
     HilbertCouple,
-    KFunctionalCurve,
     Report,
     check_inclusion_monotonicity,
     check_interpolation_inequality,
@@ -46,7 +44,6 @@ from .interpolation import (
     couple_from_grams,
     interpolation_norm,
     k2_functional,
-    k_curve,
     k_functional,
     operator_norm,
     spectral_s_norm,

@@ -55,12 +55,21 @@ class _Parser(argparse.ArgumentParser):
 
     A token that reads as a negative number is a value, not a flag, so
     ``--alpha -1e-3`` parses like ``--alpha=-1e-3``; stock argparse only
-    knows plain decimals such as ``-0.001``.
+    knows plain decimals such as ``-0.001``.  ``--FLAG=--`` gives a
+    single-value flag the value ``--``, as on Python 3.13; argparse before
+    3.13 drops the ``--`` and leaves the flag an empty list.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -67,7 +67,6 @@ __all__ = [
     "assemble_fractional_stiffness",
     "gagliardo_seminorm",
     "lp_norm",
-    "nodal_weights",
     "check_lebesgue_interpolation",
 ]
 
@@ -279,15 +278,6 @@ def _per_lane(exponent, lanes):
     if exponent.shape not in ((), lanes):
         raise DimensionError(f"exponents {exponent.shape} must be one value or one per lane {lanes}")
     return np.broadcast_to(exponent, lanes)
-
-
-def nodal_weights(mesh: Mesh1D) -> np.ndarray:
-    """Midpoint-measure quadrature weights for nodal samples: uniform h.
-
-    The default measure for Lebesgue-norm checks of nodal values; each
-    interior node represents a cell of width h.
-    """
-    return np.full(mesh.n, mesh.h)
 
 
 def check_lebesgue_interpolation(samples, weights, p, q, r) -> Report:

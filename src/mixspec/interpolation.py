@@ -52,7 +52,6 @@ from .errors import (
 
 __all__ = [
     "HilbertCouple",
-    "KFunctionalCurve",
     "Report",
     "couple_from_grams",
     "stack_couples",
@@ -60,7 +59,6 @@ __all__ = [
     "k_functional_samples",
     "k2_functional",
     "k2_functional_samples",
-    "k_curve",
     "symmetry_check",
     "interpolation_norm",
     "spectral_s_norm",
@@ -344,33 +342,6 @@ def k2_functional_samples(couple: HilbertCouple, f, xs) -> np.ndarray:
 
 def k2_functional(couple: HilbertCouple, f, x):
     return _at_points(k2_functional_samples, couple, f, x)
-
-
-@dataclass(frozen=True)
-class KFunctionalCurve:
-    """Sampled K-profile of one element over a geometric grid."""
-
-    xs: np.ndarray
-    values: np.ndarray
-    f_ref: np.ndarray
-
-    def __post_init__(self):
-        for name in ("xs", "values", "f_ref"):
-            getattr(self, name).setflags(write=False)
-        v = self.values
-        if v.size > 1:
-            if np.any(np.diff(v) < -1e-9 * np.abs(v[1:]) - 1e-300):
-                raise ParameterError("K-curve must be nondecreasing in x")
-            r = v / self.xs
-            if np.any(np.diff(r) > 1e-9 * np.abs(r[:-1]) + 1e-300):
-                raise ParameterError("K-curve must have nonincreasing K(x)/x")
-
-
-def k_curve(couple: HilbertCouple, f, xs) -> KFunctionalCurve:
-    """Evaluate K along a grid and package it with its shape invariants."""
-    xs = np.asarray(xs, dtype=float)
-    values = k_functional_samples(couple, f, xs)
-    return KFunctionalCurve(xs=xs.copy(), values=values, f_ref=np.asarray(f, dtype=float).copy())
 
 
 # ----------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Brute-force reference computations used by verification suites and tests.
+"""Brute-force reference quadrature used by the ``verify`` suites and tests.
 
-These routines deliberately avoid the shortcuts the production code takes:
-the fractional form is integrated as an honest two-dimensional integral,
-cell pair by cell pair, with graded dyadic refinement toward the kernel
-singularity; the K-functional is minimized by zooming grid search over raw
-decompositions; operator norms come from power iteration.  They are slow
-and exist only to cross-check the fast paths.  The dyadic levels of a cell
-pair go through chunked array passes, and their values are added in level
-order, so every sum is the one a level-by-level loop forms.
+These routines deliberately avoid the shortcut assembly takes (the exact
+Toeplitz column): the fractional form is integrated as an honest
+two-dimensional integral, cell pair by cell pair, with graded dyadic
+refinement toward the kernel singularity.  They are slow and exist only to
+cross-check the fast path.  The dyadic levels of a cell pair go through
+chunked array passes, and their values are added in level order, so every
+sum is the one a level-by-level loop forms.  The K-functional and
+operator-norm oracles live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ import numpy as np
 
 __all__ = [
     "gagliardo_form_quadrature",
-    "fractional_entry_quadrature",
     "fractional_matrix_quadrature",
-    "k_functional_grid_search",
-    "operator_norm_power_iteration",
 ]
 
 # dyadic levels per array pass of the singular cells
@@ -57,15 +54,15 @@ def _dots(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _levels(h, depth):
-    """Widths h 2^-l of the dyadic levels l = 0 .. depth - 1, in chunks of _LEVEL_CHUNK.
+def _levels(depth):
+    """Widths 2^-l of the dyadic levels l = 0 .. depth - 1, in chunks of _LEVEL_CHUNK.
 
     Each width is exact (depth stops before subnormals), so a chunk holds the
     bits that halving level by level gives; the chunks bound the arrays of a
-    pass at s near 1, where depth reaches about 1021.
+    pass at s near 1, where depth reaches 1022.
     """
     for start in range(0, depth, _LEVEL_CHUNK):
-        yield np.ldexp(h, -np.arange(start, min(start + _LEVEL_CHUNK, depth)))
+        yield np.ldexp(1.0, -np.arange(start, min(start + _LEVEL_CHUNK, depth)))
 
 
 def _add_in_order(total, values):
@@ -85,25 +82,31 @@ def gagliardo_form_quadrature(mesh, u_coeffs, v_coeffs, s, *, n_gauss=16, depth=
 
     Cell pairs touching the diagonal are covered by a dyadic sequence of
     bands (squares, for corner contact) shrinking geometrically toward the
-    singular set, each integrated with tensor Gauss.  The levels of a cell
-    pair are evaluated _LEVEL_CHUNK at a time in one array pass, and their
-    values are added in level order, as a level-by-level loop adds them.
-    The truncated sliver is about 2^(-depth (2-2s)) of the result, below
-    ~1e-11 at the default depth.  The depth is capped where the smallest
-    band, h 2^-depth, would stop being a normal float (about 1020 levels for
-    h near 1), so past s ~ 0.98 the sliver grows: at n = 3 the result is off
-    by 6e-10 at s = 0.985, 7e-7 at s = 0.99 and 9e-4 at s = 0.995.
+    singular set, each integrated with tensor Gauss.  These singular cells
+    are integrated on the unit cell, with the differences ur - ul of the
+    nodal values as slopes, and scaled by h^(1-2s), the form's exact
+    scaling; so no band depends on h, and a short interval cannot overflow
+    the powers of the bands.  The levels of a cell pair are evaluated
+    _LEVEL_CHUNK at a time in one array pass, and their values are added in
+    level order, as a level-by-level loop adds them.  The truncated sliver
+    is about 2^(-depth (2-2s)) of the result, below ~1e-11 at the default
+    depth.  The depth is capped at 1022 levels, where the smallest band,
+    2^-depth, would stop being a normal float, so past s ~ 0.98 the sliver
+    grows: at n = 3 the result is off by 6e-10 at s = 0.985, 7e-7 at
+    s = 0.99 and 9e-4 at s = 0.995.
     """
     a, b, h, n = mesh.a, mesh.b, mesh.h, mesh.n
     if depth is None:
         depth = max(40, math.ceil(37.0 / (2.0 - 2.0 * s)))
-    # h >= 2^(e-1) for e = frexp(h)[1], so h 2^-depth >= 2^-1022, the smallest normal
-    depth = min(depth, math.frexp(h)[1] + 1021)
+    # 2^-1022 is the smallest normal float
+    depth = min(depth, 1022)
     nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
 
     ul, ur = _cell_values(mesh, u_coeffs)
     vl, vr = _cell_values(mesh, v_coeffs)
-    su, sv = (ur - ul) / h, (vr - vl) / h
+    du, dv = ur - ul, vr - vl
+    su, sv = du / h, dv / h
+    scale = h ** (1.0 - 2.0 * s)
     ncell = n + 1
     lefts = a + h * np.arange(ncell)
     u_active = (ul != 0.0) | (ur != 0.0)
@@ -127,12 +130,10 @@ def gagliardo_form_quadrature(mesh, u_coeffs, v_coeffs, s, *, n_gauss=16, depth=
                 continue
             factor = 1.0 if k == m else 2.0
             if k == m:
-                total += factor * _diagonal_cell(
-                    su[m], sv[m], h, s, depth, nodes, weights
-                )
+                total += factor * scale * _diagonal_cell(du[m], dv[m], s, depth, nodes, weights)
             elif k == m + 1:
-                total += factor * _corner_cells(
-                    (su[m], su[m + 1]), (sv[m], sv[m + 1]), h, s, depth, nodes, weights
+                total += factor * scale * _corner_cells(
+                    (du[m], du[m + 1]), (dv[m], dv[m + 1]), s, depth, nodes, weights
                 )
             else:
                 total += factor * _tensor_gauss(
@@ -143,13 +144,13 @@ def gagliardo_form_quadrature(mesh, u_coeffs, v_coeffs, s, *, n_gauss=16, depth=
     return total
 
 
-def _diagonal_cell(su, sv, h, s, depth, nodes, weights):
-    """Cell x cell integral with the singular diagonal inside.
+def _diagonal_cell(su, sv, s, depth, nodes, weights):
+    """Unit cell x unit cell integral with the singular diagonal inside.
 
     Both triangles contribute equally (the integrand is symmetric), so twice
     the upper triangle {y < x} is integrated over dyadic bands
-    t = x - y in (h 2^(-l-1), h 2^(-l)], each mapped to a rectangle in
-    (t, eta) with y = left + eta (h - t).  Within one cell both functions
+    t = x - y in (2^(-l-1), 2^(-l)], each mapped to a rectangle in
+    (t, eta) with y = eta (1 - t).  Within one cell both functions
     are linear, so the differences are evaluated as slope * t, which stays
     exact long after x and y become indistinguishable as floats; the powers
     of t are combined so that no factor overflows.
@@ -159,20 +160,20 @@ def _diagonal_cell(su, sv, h, s, depth, nodes, weights):
     nodes01 = 0.5 * (nodes + 1.0)
     w01 = 0.5 * weights
     total = 0.0
-    for hi in _levels(h, depth):
+    for hi in _levels(depth):
         lo = 0.5 * hi
         t = lo[:, None] + (hi - lo)[:, None] * nodes01
-        span = h - t
+        span = 1.0 - t
         vals = su * sv * t ** (1.0 - 2.0 * s) * span
         # the eta direction integrates a constant profile to exactly 1
         total = _add_in_order(total, (hi - lo) * _dots(w01, vals))
     return 2.0 * total
 
 
-def _corner_cells(su_pair, sv_pair, h, s, depth, nodes, weights):
-    """Adjacent cell pair sharing one node, where the kernel blows up.
+def _corner_cells(su_pair, sv_pair, s, depth, nodes, weights):
+    """Adjacent unit cells sharing one node, where the kernel blows up.
 
-    Local offsets dx = x - corner in [-h, 0] and dy = y - corner in [0, h]
+    Local offsets dx = x - corner in [-1, 0] and dy = y - corner in [0, 1]
     keep |x - y| = dy - dx exact near the singular corner; continuity of the
     P1 functions makes the differences slope_left*dx - slope_right*dy.
     Quadtree refinement: at every level the quadrant containing the corner
@@ -187,7 +188,7 @@ def _corner_cells(su_pair, sv_pair, h, s, depth, nodes, weights):
         return (su_l * dx - su_r * dy) / r * ((sv_l * dx - sv_r * dy) / r) * r ** (1.0 - 2.0 * s)
 
     total = 0.0
-    for w in _levels(h, depth):
+    for w in _levels(depth):
         half = 0.5 * w
         zero = np.zeros_like(w)
         # per level, the quadrants (-w, -half) x (0, half), (-w, -half) x (half, w)
@@ -251,107 +252,14 @@ def _power_weighted_quadratic(beta, offset, h, s):
     return total
 
 
-def fractional_entry_quadrature(mesh, s, i, j, *, n_gauss=16, depth=None):
-    """Single fractional stiffness entry by direct 2D quadrature (0-based i, j)."""
-    ei = np.zeros(mesh.n)
-    ej = np.zeros(mesh.n)
-    ei[i] = 1.0
-    ej[j] = 1.0
-    return gagliardo_form_quadrature(mesh, ei, ej, s, n_gauss=n_gauss, depth=depth)
-
-
 def fractional_matrix_quadrature(mesh, s, *, n_gauss=16, depth=None):
     """Full fractional stiffness matrix, entry by entry, by direct quadrature."""
     n = mesh.n
+    hats = np.eye(n)
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
-            val = fractional_entry_quadrature(mesh, s, i, j, n_gauss=n_gauss, depth=depth)
+            val = gagliardo_form_quadrature(mesh, hats[i], hats[j], s, n_gauss=n_gauss, depth=depth)
             out[i, j] = val
             out[j, i] = val
     return out
-
-
-def k_functional_grid_search(g_x, g_y, f, x, *, final_step=1e-4, cycles=200):
-    """Minimize ||g||_X + x ||f-g||_Y over raw decompositions f = g + h.
-
-    Cyclic coordinate descent where every line minimization is a zooming
-    one-dimensional grid search refined down to ``final_step``.  Along one
-    coordinate the objective is convex, so the discrete argmin brackets the
-    continuous one and the zoom is safe.  The corner decompositions g = 0
-    and g = f are also candidates.  Returns an upper bound on the infimum.
-    """
-    g_x = np.asarray(g_x, dtype=float)
-    g_y = np.asarray(g_y, dtype=float)
-    f = np.asarray(f, dtype=float)
-    dim = f.size
-
-    def objective(gs):
-        gs = np.atleast_2d(gs)
-        hx = np.einsum("ij,jk,ik->i", gs, g_x, gs)
-        hs = f[None, :] - gs
-        hy = np.einsum("ij,jk,ik->i", hs, g_y, hs)
-        return np.sqrt(np.maximum(hx, 0.0)) + x * np.sqrt(np.maximum(hy, 0.0))
-
-    def line_minimize(center, axis, radius):
-        # zooming 1D grid search along one coordinate
-        g = center.copy()
-        t_mid, r = 0.0, radius
-        while True:
-            ts = t_mid + np.linspace(-r, r, 41)
-            batch = np.repeat(g[None, :], ts.size, axis=0)
-            batch[:, axis] = center[axis] + ts
-            vals = objective(batch)
-            j = int(np.argmin(vals))
-            t_mid = ts[j]
-            step = ts[1] - ts[0]
-            if step <= final_step:
-                g[axis] = center[axis] + t_mid
-                return g, float(vals[j])
-            r = 2.0 * step
-
-    norm_f_x = math.sqrt(float(f @ g_x @ f))
-    eig_min = float(np.min(np.linalg.eigvalsh(g_x)))
-    radius = 2.0 * norm_f_x / math.sqrt(eig_min) + 1.0
-
-    best_g = 0.5 * f
-    best_val = float(objective(best_g)[0])
-    for _ in range(cycles):
-        improved = False
-        for axis in range(dim):
-            best_g, val = line_minimize(best_g, axis, radius)
-            if val < best_val - 1e-12 * max(best_val, 1.0):
-                improved = True
-            best_val = min(best_val, val)
-        if not improved:
-            break
-    corner_vals = objective(np.vstack([np.zeros(dim), f]))
-    return min(best_val, float(np.min(corner_vals)))
-
-
-def operator_norm_power_iteration(t_mat, g_dom, g_cod, *, iters=5000, tol=1e-14, seed=0):
-    """Largest generalized singular value of T by power iteration.
-
-    Iterates f <- G_dom^{-1} T^T G_cod T f, whose dominant eigenvalue is the
-    squared operator norm of T between the G_dom and G_cod inner products.
-    """
-    t_mat = np.asarray(t_mat, dtype=float)
-    g_dom = np.asarray(g_dom, dtype=float)
-    g_cod = np.asarray(g_cod, dtype=float)
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(t_mat.shape[1])
-    f /= math.sqrt(float(f @ g_dom @ f))
-    value = 0.0
-    for _ in range(iters):
-        w = t_mat.T @ (g_cod @ (t_mat @ f))
-        new = float(f @ w)
-        f = np.linalg.solve(g_dom, w)
-        nrm = math.sqrt(float(f @ g_dom @ f))
-        if nrm == 0.0:
-            return 0.0
-        f /= nrm
-        if abs(new - value) <= tol * max(abs(new), 1.0):
-            value = new
-            break
-        value = new
-    return math.sqrt(max(value, 0.0))

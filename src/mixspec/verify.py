@@ -256,7 +256,9 @@ def suite_interpolation_norms(rng):
     if worst_closed > 1e-5:
         return _result(name, details, {"check": "closed form", "rel": worst_closed})
 
-    worst_sym = 0.0
+    # norm symmetry, and the interpolation inequality on the same norms
+    worst_sym = worst_ineq = 0.0
+    inequality_failure = None
     draws, fs = [], []
     for _ in range(3):
         draws += [_spd_draw(5, rng), _spd_draw(5, rng)]
@@ -267,12 +269,21 @@ def suite_interpolation_norms(rng):
         swapped = couple.swapped()
         for s in (0.25, 0.5, 0.75):
             for p in (1.0, 2.0, math.inf):
-                a = interpolation.interpolation_norm(couple, f, s, p, "K")
+                rep = interpolation.check_interpolation_inequality(couple, f, s, p, "K")
+                a = rep.lhs
                 b = interpolation.interpolation_norm(swapped, f, 1.0 - s, p, "K")
                 worst_sym = max(worst_sym, abs(a - b) / max(a, 1e-300))
+                ratio = rep.lhs / rep.rhs
+                worst_ineq = max(worst_ineq, ratio)
+                if inequality_failure is None and not rep.holds:
+                    inequality_failure = {"check": "interpolation inequality", **rep.inputs,
+                                          "ratio": ratio}
     details["symmetry_worst_rel"] = worst_sym
+    details["inequality_worst_ratio"] = worst_ineq
     if worst_sym > 1e-6:
         return _result(name, details, {"check": "norm symmetry", "rel": worst_sym})
+    if inequality_failure is not None:
+        return _result(name, details, inequality_failure)
 
     couple = interpolation.couple_from_grams(_random_spd(6, rng), _random_spd(6, rng))
     f = rng.standard_normal(6)

@@ -31,7 +31,8 @@ from mixspec import (
     verify_variational_characterization,
 )
 from mixspec.cli import main
-from mixspec.reference import fractional_matrix_quadrature, k_functional_grid_search
+from mixspec.reference import fractional_matrix_quadrature
+from oracles import k_functional_grid_search
 
 
 def _announce(name, ok, detail=""):

@@ -990,6 +990,39 @@ class TestConfigFile:
         assert (self._resolved([command, "--config", str(config)])
                 == self._resolved([flag_command, *flag_args]))
 
+    # the keys a config line may set that take one value
+    SINGLE = sorted(key for key, (_, _, kwargs) in cli._OPTIONS.items()
+                    if key not in cli._FLAG_ONLY and "nargs" not in kwargs and "action" not in kwargs)
+
+    @pytest.mark.parametrize("key", SINGLE)
+    def test_double_dash_value(self, tmp_path, key):
+        """--KEY=-- resolves as the config line KEY = -- does.
+
+        argparse before Python 3.13 drops the ``--`` of ``--KEY=--`` and leaves
+        an empty list; a text flag takes ``--`` as its value, and a flag with a
+        type or choices refuses it, as the config reader does.
+        """
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = --\n")
+        command = self.SETTABLE[key][0]
+        from_config = self._resolved([command, "--config", str(config)])
+        argv = [command, f"--{key.replace('_', '-')}=--"]
+        kwargs = cli._OPTIONS[key][2]
+        if "type" in kwargs or "choices" in kwargs:
+            assert isinstance(from_config, str)  # a ParameterError's message
+            with pytest.raises(SystemExit) as exc:
+                cli._build_parser().parse_args(argv)
+            assert exc.value.code == cli.EXIT_USAGE
+        else:
+            assert from_config[key] == "--"
+            assert self._resolved(argv) == from_config
+
+    @pytest.mark.parametrize("flag", ["--couple=--", "--f=--"])
+    def test_double_dash_file_is_a_parameter_error(self, tmp_path, capsys, flag):
+        # a file named "--" that does not exist, not a crash on an empty value
+        assert main(["kfunc", flag, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: --: No such file or directory\n"
+
     def test_comments_and_blanks(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("# a comment\n\nn = 5  # trailing\n")

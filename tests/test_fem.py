@@ -253,6 +253,21 @@ class TestFractionalProperties:
         scaled = assemble_fractional_stiffness(build_mesh(0.0, length, n), s).data
         np.testing.assert_allclose(scaled / mat, length ** (1.0 - 2.0 * s), rtol=1e-12, atol=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(0.01, 0.999), n=st.integers(1, 3),
+           length=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+    def test_reference_quadrature_on_any_length(self, s, n, length):
+        # the singular cells run on the unit cell, so no band overflows on a
+        # short interval; up to s = 0.98 the truncated sliver stays far below
+        # fem_oracle's 1e-6, past it the depth cap lets it grow
+        mesh = build_mesh(0.0, length, n)
+        fast = assemble_fractional_stiffness(mesh, s).data  # an infinite column is refused
+        slow = fractional_matrix_quadrature(mesh, s)
+        assert np.isfinite(fast).all() and np.isfinite(slow).all()
+        if s <= 0.98:
+            assert np.max(np.abs(fast - slow)) / np.max(np.abs(slow)) <= 1e-6
+
 
 class TestGagliardoSeminorm:
     def test_zero_function(self):
@@ -397,16 +412,6 @@ class TestLebesgueInterpolation:
             check_lebesgue_interpolation([1.0], [1.0], 2.0, 4.0, 1.5)
         with pytest.raises(OrderingError):
             check_lebesgue_interpolation([1.0], [1.0], 2.0, 4.0, 5.0)
-
-    def test_nodal_weights_measure(self):
-        from mixspec import nodal_weights
-
-        mesh = build_mesh(0.0, 1.0, 9)
-        w = nodal_weights(mesh)
-        np.testing.assert_array_equal(w, np.full(9, 0.1))
-        u = DiscreteFunction(mesh, np.sin(math.pi * mesh.nodes))
-        rep = check_lebesgue_interpolation(u.coeffs, w, 1.0, 4.0, 2.0)
-        assert rep.holds
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 12), size=st.integers(1, 11))

@@ -200,3 +200,39 @@ def test_lebesgue_suite_passes_as_the_loop_does():
     batched = verify.suite_lebesgue(np.random.default_rng([0, 2]))
     assert batched["passed"] and batched["details"] == {"checked": 1000}
     assert _loop_lebesgue(_lebesgue_cases(0)) == ({"checked": 1000}, None)
+
+
+def test_interpolation_suite_reports_a_failing_inequality(monkeypatch):
+    """||f||_Y read a thousand times too small breaks the inequality from its first case on."""
+    norm_y = interpolation.HilbertCouple.norm_y
+    monkeypatch.setattr(interpolation.HilbertCouple, "norm_y", lambda self, f: 1e-3 * norm_y(self, f))
+    result = verify.suite_interpolation_norms(np.random.default_rng([0, 4]))
+    assert not result["passed"]
+    got = result["counterexample"]
+    assert {key: got[key] for key in ("check", "s", "p", "variant")} == {
+        "check": "interpolation inequality", "s": 0.25, "p": 1.0, "variant": "K"}
+    assert 1.0 < got["ratio"] <= result["details"]["inequality_worst_ratio"]
+    assert result["details"]["symmetry_worst_rel"] <= 1e-6
+
+
+def test_every_public_checker_is_run_by_verify(monkeypatch, tmp_path):
+    """Each check_* and verify_* name in a module's __all__ is called by the verify command."""
+    calls = {}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for module in (fem, interpolation, spectral, verify):
+        for name in module.__all__:
+            if name.startswith(("check_", "verify_")):
+                key = f"{module.__name__}.{name}"
+                calls[key] = 0
+                monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    matrix = tmp_path / "mass.txt"
+    exchange.write_matrix(matrix, fem.assemble_mass(build_mesh(0.0, 1.0, 5)))
+    assert verify.run_suites(0, matrix_files=[str(matrix)])["all_passed"]
+    assert "mixspec.interpolation.check_interpolation_inequality" in calls
+    assert [key for key, count in calls.items() if count == 0] == []
