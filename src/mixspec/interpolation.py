@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.special
 
 from .errors import (
@@ -130,6 +130,9 @@ class HilbertCouple:
         return f
 
 
+_dsygvd = scipy.linalg.lapack.dsygvd
+
+
 def couple_from_grams(g_x, g_y) -> HilbertCouple:
     """Build a couple from two SPD Gram matrices of the same dimension.
 
@@ -139,6 +142,11 @@ def couple_from_grams(g_x, g_y) -> HilbertCouple:
     V^T G_Y V = diag(mu), so by Sylvester G_Y is positive definite iff mu > 0.
     Stacked Grams (..., d, d) give a couple with those lane axes, from the
     same eigensolve lane by lane; one failing lane fails the whole stack.
+    Each lane is one call of ``dsygvd``, the LAPACK driver that
+    ``scipy.linalg.eigh(g_y, g_x)`` runs, with its arguments (itype 1, the
+    lower triangles): the same bits, without eigh's validation and dispatch
+    on every call.  Any failure of the driver (G_X not positive definite,
+    or no convergence) is the ``CoupleError`` eigh's ``LinAlgError`` was.
     """
     g_x = np.array(g_x, dtype=float)
     g_y = np.array(g_y, dtype=float)
@@ -146,17 +154,41 @@ def couple_from_grams(g_x, g_y) -> HilbertCouple:
         raise DimensionError(f"G_X must be square, got {g_x.shape}")
     if g_x.shape != g_y.shape:
         raise DimensionError(f"Gram shapes differ: {g_x.shape} vs {g_y.shape}")
+    finite = True
     for name, g in (("G_X", g_x), ("G_Y", g_y)):
-        atol = 1e-12 * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
-        if not np.all(np.isclose(g, np.swapaxes(g, -1, -2), rtol=0.0, atol=atol[..., None, None])):
+        scale = np.abs(g).max(axis=(-2, -1), keepdims=True)  # NaN or inf unless g is finite
+        atol = 1e-12 * np.maximum(1.0, scale)
+        g_t = np.swapaxes(g, -1, -2)
+        if np.isfinite(scale).all():
+            # np.isclose(g, g_t, rtol=0, atol) on finite input
+            close = np.abs(g - g_t) <= atol
+        else:
+            # np.isclose's verdict and warning, then scipy's refusal below
+            finite = False
+            close = np.isclose(g, g_t, rtol=0.0, atol=atol)
+        if not close.all():
             raise CoupleError(f"{name} is not symmetric")
+    if not finite:
+        raise ValueError("array must not contain infs or NaNs")
     g_x = 0.5 * (g_x + np.swapaxes(g_x, -1, -2))
     g_y = 0.5 * (g_y + np.swapaxes(g_y, -1, -2))
-    try:
-        mu, basis = scipy.linalg.eigh(g_y, g_x)
-    except scipy.linalg.LinAlgError as exc:
-        raise CoupleError("G_X is not positive definite") from exc
-    if np.any(mu <= 0.0):
+
+    def eigh(g_y, g_x):
+        mu, basis, info = _dsygvd(g_y, g_x, itype=1, jobz="V", uplo="L")
+        if info != 0:
+            raise CoupleError("G_X is not positive definite")
+        return mu, basis
+
+    # every basis keeps the layout eigh gave it, LAPACK's column-major one
+    # in each lane, because coords sums in the order the layout sets
+    lanes = g_x.shape[:-2]
+    if lanes:
+        mu, basis = np.empty(g_x.shape[:-1]), np.swapaxes(np.empty(g_x.shape), -1, -2)
+        for lane in np.ndindex(lanes):
+            mu[lane], basis[lane] = eigh(g_y[lane], g_x[lane])
+    else:
+        mu, basis = eigh(g_y, g_x)
+    if (mu <= 0.0).any():
         raise CoupleError("G_Y is not positive definite")
     residual = np.linalg.norm(g_y @ basis - g_x @ basis * mu[..., None, :], axis=(-2, -1)) / (
         np.linalg.norm(g_y, axis=(-2, -1)))
@@ -428,10 +460,17 @@ def _frontier_norms(mu, coords, s: float, p: float, variant: str) -> np.ndarray:
     corners x < 1/R(0) and x > 1/R(inf) in closed form.  K2 is the frontier
     point w = x^2 (K2^2 = ||g||_X^2 + w ||h||_Y^2, dx/x = du/2); its sum is
     continued past both ends as geometric series, where K2 is x ||f||_Y or
-    ||f||_X to rounding.  For p = inf every interior local maximum of the
-    grid profile is refined by solving d log K / d log x = H = s between its
-    neighbours, and the largest refined value is kept: two peaks can nearly
-    tie, and the grid can rank them wrongly.
+    ||f||_X to rounding.  For p = inf the grid argmax is refined by solving
+    d log K / d log x = H = s between its neighbours, and so is every other
+    interior local maximum that can reach the refined value: two peaks can
+    nearly tie, and the grid can rank them wrongly.  The profile is
+    log K - s log x, so between the neighbours u_(j-1), u_(j+1) of a grid
+    point it moves by at most max(s, 1 - s) (log x_(j+1) - log x_(j-1)), the
+    integral of max(s, 1 - s) D du there.  A peak below the refined value by
+    more than that bound is left out.  That leaves out the rounding peaks of
+    the corner plateaus, past the last mode at either end of the grid, where
+    x stops moving (D falls to about 1e-15) and every solve would bisect to
+    the end of its bracket.
     """
     if variant not in ("K", "K2"):
         raise ParameterError(f"variant must be 'K' or 'K2', got {variant!r}")
@@ -473,12 +512,15 @@ def _frontier_norms(mu, coords, s: float, p: float, variant: str) -> np.ndarray:
             g2, h2, _ = _frontier(mu[:, None], c2, v)
             return log_profile(g2, h2, v)
 
-        # the argmax first, in one solve over the lanes, then any other local
-        # maxima in a second one, so that a single peak keeps its Newton steps
+        # the argmax first, in one solve over the lanes, then the other local
+        # maxima that can reach it in a second one, so that a single peak
+        # keeps its Newton steps
         j = np.clip(np.argmax(profile, axis=1), 1, u.size - 2)
         best = np.maximum(top, refined(c2, j))
         inner = profile[:, 1:-1]
-        peaks = (inner > profile[:, :-2]) & (inner >= profile[:, 2:])
+        log_x = 0.5 * u if variant == "K2" else u + 0.5 * np.log(h2 / g2)
+        reach = inner + max(s, 1.0 - s) * (log_x[..., 2:] - log_x[..., :-2])
+        peaks = (inner > profile[:, :-2]) & (inner >= profile[:, 2:]) & (reach >= best[:, None])
         peaks[np.arange(j.size), j - 1] = False
         lane, other = np.nonzero(peaks)
         if lane.size:
@@ -538,8 +580,21 @@ def operator_norm(t_mat, domain_gram, codomain_gram) -> float:
         raise DimensionError("Gram shapes do not match the operator")
     quad = t_mat.T @ codomain_gram @ t_mat
     quad = 0.5 * (quad + quad.T)
-    top = scipy.linalg.eigh(quad, domain_gram, eigvals_only=True)[-1]
-    return math.sqrt(max(float(top), 0.0))
+    # the driver scipy.linalg.eigh(quad, domain_gram, eigvals_only=True) runs,
+    # called once directly, with eigh's refusals
+    if not (np.isfinite(quad).all() and np.isfinite(domain_gram).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    values, _, info = _dsygvd(quad, domain_gram, itype=1, jobz="N", uplo="L")
+    if info > cols:
+        raise np.linalg.LinAlgError(
+            f"The leading minor of order {info - cols} of B is not positive definite. The "
+            "factorization of B could not be completed and no eigenvalues or eigenvectors "
+            "were computed.")
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"The algorithm failed to converge; {info} off-diagonal elements of an "
+            "intermediate tridiagonal form did not converge to zero.")
+    return math.sqrt(max(float(values[-1]), 0.0))
 
 
 def interpolation_gram(couple: HilbertCouple, s: float) -> np.ndarray:
@@ -640,12 +695,13 @@ def _sampled_operator_norm(t_mat, couple0, couple1, s, p, variant, directions, r
 def check_interpolation_inequality(
     couple: HilbertCouple, f, s: float, p: float, variant: str = "K"
 ) -> Report:
-    """Ratio ||f||_(s,p) / (||f||_X^(1-s) ||f||_Y^s) against its (s, p) constant.
+    """Check ||f||_(s,p) <= C ||f||_X^(1-s) ||f||_Y^s, C the (s, p) constant.
 
     The derived constant is sqrt(pi/(2 sin pi s)) for the quadratic (K2,
     p = 2) case, attained exactly by single modes; otherwise the envelope
     bound K(x) <= min(||f||_X, x ||f||_Y) yields (p s (1-s))^(-1/p)
-    (1 for p = inf), valid for both variants since K2 <= K.
+    (1 for p = inf), valid for both variants since K2 <= K.  The report's
+    ratio is lhs / rhs, as in the other checkers.
     """
     _validate_sp(s, p)
     f = np.asarray(f, dtype=float)
@@ -653,20 +709,20 @@ def check_interpolation_inequality(
         raise UndefinedRatioError("interpolation ratio is undefined for f = 0")
     value = interpolation_norm(couple, f, s, p, variant)
     base = couple.norm_x(f) ** (1.0 - s) * couple.norm_y(f) ** s
-    ratio = value / base
     if variant == "K2" and p == 2:
         constant = math.sqrt(_kappa(s))
     elif p == math.inf:
         constant = 1.0
     else:
         constant = (1.0 / (p * s * (1.0 - s))) ** (1.0 / p)
+    rhs = constant * base
     return Report(
         op="interpolation_inequality",
         inputs={"s": s, "p": p_label(p), "variant": variant},
         lhs=value,
-        rhs=constant * base,
-        ratio=ratio,
-        holds=value <= constant * base * (1.0 + 1e-9),
+        rhs=rhs,
+        ratio=value / rhs,
+        holds=value <= rhs * (1.0 + 1e-9),
         tolerance=1e-9,
     )
 

@@ -144,6 +144,20 @@ def gagliardo_form_quadrature(mesh, u_coeffs, v_coeffs, s, *, n_gauss=16, depth=
     return total
 
 
+def _unit_slopes(slopes):
+    """The slopes divided by 2^e, with the largest |slope| brought into [1, 2), and e.
+
+    Power-of-two scaling is exact, so a singular cell integrated with the
+    scaled slopes and multiplied back by 2^e keeps the bits of the unscaled
+    integral wherever that is finite.  A product of two scaled slopes is
+    below 4, and the kernel's power on the deepest band is at most
+    2^(1022 (2s - 1)); so up to s = 0.999 neither a product nor a corner
+    cell's Gauss sum (weights adding to 2 per axis) reaches 2^1024.
+    """
+    e = math.frexp(max(abs(x) for x in slopes))[1] - 1
+    return [math.ldexp(x, -e) for x in slopes], e
+
+
 def _diagonal_cell(su, sv, s, depth, nodes, weights):
     """Unit cell x unit cell integral with the singular diagonal inside.
 
@@ -152,11 +166,13 @@ def _diagonal_cell(su, sv, s, depth, nodes, weights):
     t = x - y in (2^(-l-1), 2^(-l)], each mapped to a rectangle in
     (t, eta) with y = eta (1 - t).  Within one cell both functions
     are linear, so the differences are evaluated as slope * t, which stays
-    exact long after x and y become indistinguishable as floats; the powers
-    of t are combined so that no factor overflows.
+    exact long after x and y become indistinguishable as floats; the slopes
+    are scaled by ``_unit_slopes``, so that no factor overflows.
     """
     if su == 0.0 or sv == 0.0:
         return 0.0
+    (su,), eu = _unit_slopes([su])
+    (sv,), ev = _unit_slopes([sv])
     nodes01 = 0.5 * (nodes + 1.0)
     w01 = 0.5 * weights
     total = 0.0
@@ -167,7 +183,7 @@ def _diagonal_cell(su, sv, s, depth, nodes, weights):
         vals = su * sv * t ** (1.0 - 2.0 * s) * span
         # the eta direction integrates a constant profile to exactly 1
         total = _add_in_order(total, (hi - lo) * _dots(w01, vals))
-    return 2.0 * total
+    return math.ldexp(2.0 * total, eu + ev)
 
 
 def _corner_cells(su_pair, sv_pair, s, depth, nodes, weights):
@@ -179,9 +195,10 @@ def _corner_cells(su_pair, sv_pair, s, depth, nodes, weights):
     Quadtree refinement: at every level the quadrant containing the corner
     splits again and the other three quadrants are integrated directly; the
     quadrants of a chunk of levels go through ``_tensor_gauss`` together.
+    Each pair of slopes is scaled by ``_unit_slopes``.
     """
-    su_l, su_r = su_pair
-    sv_l, sv_r = sv_pair
+    (su_l, su_r), eu = _unit_slopes(su_pair)
+    (sv_l, sv_r), ev = _unit_slopes(sv_pair)
 
     def local(dx, dy):
         r = dy - dx
@@ -198,7 +215,7 @@ def _corner_cells(su_pair, sv_pair, s, depth, nodes, weights):
                                np.stack([zero, half, half], axis=-1),
                                np.stack([half, w, w], axis=-1), nodes, weights)
         total = _add_in_order(total, values)
-    return total
+    return math.ldexp(total, eu + ev)
 
 
 def _exterior_strips(mesh, ul, su, vl, sv, lefts, s):
@@ -219,11 +236,12 @@ def _exterior_strips(mesh, ul, su, vl, sv, lefts, s):
         )
         xl = lefts[m]
         total += _power_weighted_quadratic(beta, xl - a, h, s)
-        # mirror the cell for the (b - x)^(-2s) weight: tau' = b - x
+        # mirror the cell for the (b - x)^(-2s) weight: tau' = b - x; the last
+        # cell's offset is 0, which b - (xl + h) can miss below by rounding
         ur_m = ul[m] + su[m] * h
         vr_m = vl[m] + sv[m] * h
         beta_mirror = (ur_m * vr_m, -(ur_m * sv[m] + vr_m * su[m]), su[m] * sv[m])
-        total += _power_weighted_quadratic(beta_mirror, b - (xl + h), h, s)
+        total += _power_weighted_quadratic(beta_mirror, max(b - (xl + h), 0.0), h, s)
     return 2.0 * total / (2.0 * s)
 
 
@@ -233,6 +251,8 @@ def _power_weighted_quadratic(beta, offset, h, s):
     Recenter the quadratic in xi = offset + tau so every term is a plain
     power; powers with zero coefficient are skipped, which covers the
     boundary cells where the integrand vanishes at the singular endpoint.
+    There a coefficient can also be the rounding of a zero; its power then
+    loses the term at xi = 0, the log's as the other powers'.
     """
     b0, b1, b2 = beta
     a0 = b0 - b1 * offset + b2 * offset * offset
@@ -245,7 +265,7 @@ def _power_weighted_quadratic(beta, offset, h, s):
             continue
         e = j + 1.0 - 2.0 * s
         if abs(e) < 1e-14:
-            total += coef * math.log(x1 / x0)
+            total += coef * (math.log(x1) if x0 == 0.0 else math.log(x1 / x0))
         else:
             lo = 0.0 if x0 == 0.0 else x0**e
             total += coef * (x1**e - lo) / e

@@ -273,11 +273,10 @@ def suite_interpolation_norms(rng):
                 a = rep.lhs
                 b = interpolation.interpolation_norm(swapped, f, 1.0 - s, p, "K")
                 worst_sym = max(worst_sym, abs(a - b) / max(a, 1e-300))
-                ratio = rep.lhs / rep.rhs
-                worst_ineq = max(worst_ineq, ratio)
+                worst_ineq = max(worst_ineq, rep.ratio)
                 if inequality_failure is None and not rep.holds:
                     inequality_failure = {"check": "interpolation inequality", **rep.inputs,
-                                          "ratio": ratio}
+                                          "ratio": rep.ratio}
     details["symmetry_worst_rel"] = worst_sym
     details["inequality_worst_ratio"] = worst_ineq
     if worst_sym > 1e-6:

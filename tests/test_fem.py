@@ -268,6 +268,43 @@ class TestFractionalProperties:
         if s <= 0.98:
             assert np.max(np.abs(fast - slow)) / np.max(np.abs(slow)) <= 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(0.01, 0.999) | st.floats(0.99, 0.999), data=st.data())
+    def test_reference_form_with_large_slopes(self, s, data):
+        # nodal differences up to 1e3: the singular cells scale their slopes
+        # into [1, 2) by powers of two, so no product overflows near s = 1
+        # (u = (0, 3, -3) at s = 0.999 gave NaN when the slopes went in as
+        # they are), and a finite value keeps its bits
+        n = data.draw(st.integers(1, 3))
+        u = np.array(data.draw(st.lists(st.floats(-500.0, 500.0), min_size=n, max_size=n)))
+        mesh = build_mesh(0.0, 1.0, n)
+        fast = u @ assemble_fractional_stiffness(mesh, s).data @ u
+        slow = gagliardo_form_quadrature(mesh, u, u, s)
+        assert math.isfinite(slow)
+        if s <= 0.98:
+            assert abs(slow - fast) <= 1e-6 * fast
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("s", [0.5, 0.75])
+    def test_reference_quadrature_last_cell_offset(self, n, s):
+        # on (0, 10^2.0625) the last cell's right end a + h (n + 1) rounds past
+        # b, so b - (xl + h) came out negative: a math domain error at s = 0.5,
+        # a NaN power at s = 0.75; the offset is 0 there
+        mesh = build_mesh(0.0, 10.0 ** 2.0625, n)
+        slow = fractional_matrix_quadrature(mesh, s)
+        fast = assemble_fractional_stiffness(mesh, s).data
+        assert np.max(np.abs(fast - slow)) / np.max(np.abs(slow)) <= 1e-6
+
+    def test_reference_form_overflow_case(self):
+        mesh = build_mesh(0.0, 1.0, 3)
+        u = np.array([0.0, 3.0, -3.0])
+        slow = gagliardo_form_quadrature(mesh, u, u, 0.999)
+        assert math.isfinite(slow) and slow > 0.0
+        # power-of-two scaling is exact: 2u gives 4 times the form, bit for bit
+        assert gagliardo_form_quadrature(mesh, 2.0 * u, 2.0 * u, 0.999) == 4.0 * slow
+
 
 class TestGagliardoSeminorm:
     def test_zero_function(self):

@@ -28,12 +28,14 @@ from mixspec import (
     spectral_s_norm,
     symmetry_check,
 )
+from mixspec import interpolation
 from mixspec.interpolation import (
     k2_functional_samples,
     k_functional_samples,
     stack_couples,
 )
-from oracles import k_functional_grid_search, operator_norm_power_iteration
+import oracles
+from oracles import k_functional_grid_search, operator_norm_power_iteration, sup_norm_every_peak
 
 
 def random_spd(dim, rng, spread=10.0):
@@ -91,6 +93,96 @@ class TestCoupleConstruction:
         grams = {"G_X": np.diag([1.0, 4.0]), "G_Y": np.diag([1.0, 4.0]), name: indefinite}
         with pytest.raises(CoupleError, match=f"^{name} is not positive definite$"):
             couple_from_grams(grams["G_X"], grams["G_Y"])
+
+
+@st.composite
+def gram_pairs(draw):
+    """Two random SPD Grams, or a stack of them, of dimension 1-10 at Gram spread 10 or 1e4."""
+    dim = draw(st.integers(1, 10))
+    lanes = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    spread = draw(st.sampled_from([10.0, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = math.prod(lanes)
+    g_x = np.array([random_spd(dim, rng, spread) for _ in range(count)]).reshape(lanes + (dim, dim))
+    g_y = np.array([random_spd(dim, rng, spread) for _ in range(count)]).reshape(lanes + (dim, dim))
+    return g_x, g_y
+
+
+class TestDirectLapack:
+    """The couple and the operator norm call dsygvd directly: scipy.linalg.eigh's bits and refusals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grams=gram_pairs())
+    def test_couple_is_eigh_bit_for_bit(self, grams):
+        g_x, g_y = grams
+        couple = couple_from_grams(g_x, g_y)
+        sym_x = 0.5 * (g_x + np.swapaxes(g_x, -1, -2))
+        sym_y = 0.5 * (g_y + np.swapaxes(g_y, -1, -2))
+        mu, basis = scipy.linalg.eigh(sym_y, sym_x)
+        np.testing.assert_array_equal(couple.mu, mu)
+        np.testing.assert_array_equal(couple.basis, basis)
+        # the same layout too, since coords sums in the order it sets
+        assert couple.basis.strides == basis.strides
+
+    @settings(max_examples=60, deadline=None)
+    @given(grams=gram_pairs())
+    def test_operator_norm_is_eigh_bit_for_bit(self, grams):
+        g_dom, g_cod = grams
+        g_dom, g_cod = g_dom.reshape((-1,) + g_dom.shape[-2:]), g_cod.reshape((-1,) + g_cod.shape[-2:])
+        rng = np.random.default_rng(g_dom.shape[-1])
+        for dom, cod in zip(g_dom, g_cod):
+            t_mat = rng.standard_normal(dom.shape)
+            quad = t_mat.T @ cod @ t_mat
+            top = scipy.linalg.eigh(0.5 * (quad + quad.T), dom, eigvals_only=True)[-1]
+            assert operator_norm(t_mat, dom, cod) == math.sqrt(max(float(top), 0.0))
+
+    def test_single_basis_is_column_major(self):
+        rng = np.random.default_rng(41)
+        couple = random_couple(5, rng, spread=1e4)
+        assert couple.basis.flags.f_contiguous and not couple.basis.flags.c_contiguous
+        stacked = couple_from_grams([couple.g_x] * 2, [couple.g_y] * 2)
+        assert all(lane.flags.f_contiguous for lane in stacked.basis)
+
+    @pytest.mark.parametrize("g_x, g_y, message", [
+        (np.diag([1.0, -1.0]), np.eye(2), "G_X is not positive definite"),
+        (np.eye(2), np.diag([1.0, -1.0]), "G_Y is not positive definite"),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), "G_X is not symmetric"),
+        (np.eye(2), np.array([[1.0, 1e-11], [0.0, 1.0]]), "G_Y is not symmetric"),
+    ])
+    def test_finite_refusals(self, g_x, g_y, message):
+        with pytest.raises(CoupleError, match=f"^{message}$"):
+            couple_from_grams(g_x, g_y)
+        with pytest.raises(CoupleError, match=f"^{message}$"):
+            couple_from_grams(np.array([np.eye(2), g_x]), np.array([np.eye(2), g_y]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "one off-diagonal", "both off-diagonals"])
+    @pytest.mark.parametrize("name", ["G_X", "G_Y"])
+    def test_non_finite_refusals(self, value, where, name):
+        # np.isclose's verdict on the symmetry, with its warning on the
+        # non-finite tolerance, then eigh's check_finite refusal: NaN is never
+        # close to itself, equal infinities are
+        bad = np.diag([2.0, 3.0])
+        if where == "diagonal":
+            bad[1, 1] = value
+        else:
+            bad[0, 1] = value
+            if where == "both off-diagonals":
+                bad[1, 0] = value
+        grams = {"G_X": np.eye(2), "G_Y": np.eye(2), name: bad}
+        symmetric = not math.isnan(value) and where != "one off-diagonal"
+        expected = (pytest.raises(ValueError, match="^array must not contain infs or NaNs$")
+                    if symmetric else pytest.raises(CoupleError, match=f"^{name} is not symmetric$"))
+        with pytest.warns(RuntimeWarning, match="One of rtol or atol is not valid"), expected:
+            couple_from_grams(grams["G_X"], grams["G_Y"])
+
+    def test_operator_norm_refusals(self):
+        with pytest.raises(np.linalg.LinAlgError, match="^The leading minor of order 2 of B is not "
+                                                        "positive definite"):
+            operator_norm(np.eye(2), np.diag([1.0, -1.0]), np.eye(2))
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                operator_norm(np.eye(2), np.diag([1.0, value]), np.eye(2))
 
 
 class TestKFunctional:
@@ -373,6 +465,43 @@ class TestInterpolationNorm:
         assert grid_sup <= got <= grid_sup * (1.0 + 1e-10)
 
     @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 8), spread=st.sampled_from([10.0, 1e4]),
+           seed=st.integers(0, 2**32 - 1), s=st.floats(0.02, 0.98),
+           variant=st.sampled_from(["K", "K2"]))
+    def test_sup_norm_matches_refining_every_peak(self, dim, spread, seed, s, variant):
+        # a peak left unrefined lies below the refined sup by more than its
+        # bracket's bound max(s, 1 - s) (log x_(j+1) - log x_(j-1)), so the two
+        # routes agree up to the rounding of the profile, whose terms reach
+        # about 60 in size (1e-13 relative is ~450 eps)
+        rng = np.random.default_rng(seed)
+        couple = random_couple(dim, rng, spread)
+        f = rng.standard_normal(dim)
+        got = interpolation_norm(couple, f, s, math.inf, variant)
+        assert got == pytest.approx(sup_norm_every_peak(couple, f, s, variant), rel=1e-13)
+
+    def test_sup_norm_leaves_out_the_corner_plateaus(self, monkeypatch):
+        # past the last mode at either end of the grid x stops moving, and the
+        # rounding of the flat profile makes false local maxima there: refining
+        # each of them, as the oracle does, bisects to the end of its bracket
+        rng = np.random.default_rng(19)
+        couple = random_couple(5, rng, spread=1e4)
+        f = rng.standard_normal(5)
+        lanes = {"route": [], "oracle": []}
+
+        def counted(key, solve):
+            def wrapper(fun, u, lo, hi):
+                lanes[key].append(np.size(u))
+                return solve(fun, u, lo, hi)
+            return wrapper
+
+        monkeypatch.setattr(interpolation, "_solve", counted("route", interpolation._solve))
+        monkeypatch.setattr(oracles, "_solve", counted("oracle", oracles._solve))
+        got = interpolation_norm(couple, f, 0.5, math.inf, "K")
+        assert got == sup_norm_every_peak(couple, f, 0.5, "K")
+        assert lanes["route"] == [1]
+        assert lanes["oracle"][0] == 1 and lanes["oracle"][1] >= 10
+
+    @settings(max_examples=60, deadline=None)
     @given(
         log_mu=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=5),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -518,21 +647,31 @@ class TestOperatorInterpolation:
 
 
 class TestInterpolationInequality:
+    @staticmethod
+    def attained_constant(couple, f, rep):
+        """lhs / (||f||_X^(1-s) ||f||_Y^s): the constant the element f attains."""
+        s = rep.inputs["s"]
+        return rep.lhs / (couple.norm_x(f) ** (1.0 - s) * couple.norm_y(f) ** s)
+
     def test_single_mode_exact_ratio(self):
         couple = couple_from_grams(np.eye(3), np.diag([2.0, 5.0, 11.0]))
+        f = np.array([0.0, 1.0, 0.0])
         for s in (0.25, 0.5, 0.75):
-            rep = check_interpolation_inequality(couple, [0.0, 1.0, 0.0], s, 2, "K2")
-            assert rep.ratio == pytest.approx(
+            rep = check_interpolation_inequality(couple, f, s, 2, "K2")
+            assert self.attained_constant(couple, f, rep) == pytest.approx(
                 math.sqrt(math.pi / (2 * math.sin(math.pi * s))), rel=1e-5
             )
+            assert rep.ratio == rep.lhs / rep.rhs
 
     def test_random_bounded(self):
         rng = np.random.default_rng(51)
         couple = random_couple(20, rng)
         for _ in range(20):
-            rep = check_interpolation_inequality(couple, rng.standard_normal(20), 0.5, 2, "K2")
+            f = rng.standard_normal(20)
+            rep = check_interpolation_inequality(couple, f, 0.5, 2, "K2")
             assert rep.holds
-            assert rep.ratio <= math.sqrt(math.pi / 2) + 1e-9
+            assert self.attained_constant(couple, f, rep) <= math.sqrt(math.pi / 2) + 1e-9
+            assert rep.ratio <= 1.0 + 1e-9
 
     def test_k_variant_bounded(self):
         rng = np.random.default_rng(52)
