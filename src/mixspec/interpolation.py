@@ -146,7 +146,7 @@ def couple_from_grams(g_x, g_y) -> HilbertCouple:
     ``scipy.linalg.eigh(g_y, g_x)`` runs, with its arguments (itype 1, the
     lower triangles): the same bits, without eigh's validation and dispatch
     on every call.  Any failure of the driver (G_X not positive definite,
-    or no convergence) is the ``CoupleError`` eigh's ``LinAlgError`` was.
+    or no convergence) is a ``CoupleError``.
     """
     g_x = np.array(g_x, dtype=float)
     g_y = np.array(g_y, dtype=float)
